@@ -34,6 +34,7 @@ pub fn default_rules() -> Vec<Box<dyn Rule>> {
         Box::new(NoBareThreadSpawn),
         Box::new(BenchArtifactPath),
         Box::new(NoBlockingSyscallsOnPoolWorkers),
+        Box::new(NoBareTempDir),
     ]
 }
 
@@ -453,6 +454,43 @@ impl Rule for BenchArtifactPath {
                          repo root so CI uploads it",
                         concat!("target", "/")
                     ),
+                });
+            }
+        }
+    }
+}
+
+/// `no-bare-temp-dir`: scratch directories come from
+/// `pitract_core::tempdir::TempDir`, never from a bare
+/// `std::env::temp_dir()` join. A directory named by the process id
+/// alone is shared by every test of one binary; tests run in parallel,
+/// and the first to finish deletes the others' files. The helper adds a
+/// per-call sequence number and removes its directory on drop. The rule
+/// covers every crate and every target, test code included — test code
+/// is where the collisions happen.
+pub struct NoBareTempDir;
+
+impl Rule for NoBareTempDir {
+    fn name(&self) -> &'static str {
+        "no-bare-temp-dir"
+    }
+
+    fn check(&self, file: &SourceFile, findings: &mut Vec<Finding>) {
+        let tokens = &file.tokens;
+        for i in 0..tokens.len() {
+            // `temp_dir(` called as a function or path — not a method
+            // of some other type (`.temp_dir()`), not a definition.
+            let call = tokens[i].is_ident("temp_dir")
+                && tokens.get(i + 1).is_some_and(|t| t.is_punct('('))
+                && (i == 0 || !(tokens[i - 1].is_punct('.') || tokens[i - 1].is_ident("fn")));
+            if call {
+                findings.push(Finding {
+                    rule: self.name(),
+                    path: file.rel_path.clone(),
+                    line: tokens[i].line,
+                    message: "bare `temp_dir()` — use `pitract_core::tempdir::TempDir`, which \
+                              is unique per call and removed on drop"
+                        .to_string(),
                 });
             }
         }

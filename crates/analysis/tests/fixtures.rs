@@ -225,3 +225,37 @@ fn findings_render_machine_readably() {
         "{text}"
     );
 }
+
+#[test]
+fn temp_dir_fixture_fires_in_any_crate_target_and_test_module() {
+    for (crate_name, kind, path) in [
+        ("pitract-bench", FileKind::Lib, "src/fixture.rs"),
+        ("pi-tractable", FileKind::Test, "tests/fixture.rs"),
+        ("pi-tractable", FileKind::Example, "examples/fixture.rs"),
+        ("pitract-wal", FileKind::Bench, "benches/fixture.rs"),
+    ] {
+        let file = SourceFile::from_source(
+            crate_name,
+            path,
+            kind,
+            include_str!("../fixtures/temp_dir_violation.rs"),
+        );
+        let report = run_rules(&[file], &default_rules());
+        assert_eq!(
+            rules_fired(&report),
+            vec!["no-bare-temp-dir"; 4],
+            "std::env::temp_dir, env::temp_dir, imported temp_dir, the one in \
+             #[cfg(test)] — {crate_name} {path}: {report}"
+        );
+    }
+}
+
+#[test]
+fn temp_dir_clean_fixture_stays_clean_and_counts_the_allow() {
+    let report = lint(
+        "pitract-engine",
+        include_str!("../fixtures/temp_dir_clean.rs"),
+    );
+    assert!(report.is_clean(), "{report}");
+    assert_eq!(report.suppressed, 1, "the excused call was suppressed");
+}

@@ -18,6 +18,7 @@ use pitract_bench::experiments::{
     wal_recovery_sweep, wal_throughput_sweep, WalRecoverySample, WalThroughputSample, WAL_SHARDS,
     WAL_WRITERS,
 };
+use pitract_core::tempdir::TempDir;
 use pitract_engine::{LiveRelation, ShardBy};
 use pitract_relation::{ColType, Relation, Schema, Value};
 use pitract_store::SnapshotCatalog;
@@ -31,8 +32,7 @@ const RECOVERY_LENS: [usize; 2] = [600, 2_400];
 /// Criterion group: the append path itself — one insert+delete cycle on
 /// a group-commit node (fsync cost shows up in the measured commit).
 fn bench_wal_update(c: &mut Criterion) {
-    let root = std::env::temp_dir().join(format!("pitract-walbench-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("walbench");
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let schema = Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)]);
     let rows: Vec<Vec<Value>> = (0..ROWS)
@@ -67,7 +67,6 @@ fn bench_wal_update(c: &mut Criterion) {
     });
     group.finish();
     drop(node);
-    let _ = std::fs::remove_dir_all(&root);
 }
 
 /// Measure both sweeps once and write the JSON artifact.

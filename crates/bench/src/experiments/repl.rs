@@ -19,6 +19,7 @@
 //! curves to `BENCH_repl.json` next to the other perf artifacts.
 
 use crate::table::{fmt_u64, Table};
+use pitract_core::tempdir::TempDir;
 use pitract_engine::batch::QueryBatch;
 use pitract_engine::{LiveRelation, PoolConfig, PooledExecutor, ShardBy};
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
@@ -68,15 +69,6 @@ pub struct ReplServeSample {
     pub final_lag: u64,
 }
 
-fn fresh_root(tag: &str, seq: usize) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-replbench-{tag}-{}-{seq}",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn config() -> WalConfig {
     WalConfig {
         segment_bytes: 32 * 1024,
@@ -104,10 +96,9 @@ fn empty_primary(root: &Path) -> (Arc<DurableLiveRelation>, SnapshotCatalog) {
 /// sample is reported.
 pub fn repl_catchup_sweep(total_ops: usize, nets: &[usize]) -> Vec<ReplCatchUpSample> {
     nets.iter()
-        .enumerate()
-        .map(|(seq, &net)| {
+        .map(|&net| {
             assert!(net <= total_ops, "net change cannot exceed total ops");
-            let root = fresh_root("catchup", seq);
+            let root = TempDir::new("replbench-catchup");
             let (node, catalog) = empty_primary(&root);
             let publisher = SegmentPublisher::new(Arc::clone(&node));
 
@@ -147,7 +138,6 @@ pub fn repl_catchup_sweep(total_ops: usize, nets: &[usize]) -> Vec<ReplCatchUpSa
                     "net {net} diverged at key {i}"
                 );
             }
-            let _ = std::fs::remove_dir_all(&root);
             ReplCatchUpSample {
                 total_ops,
                 net_change: net,
@@ -170,9 +160,8 @@ pub fn repl_serving_sweep(
 ) -> Vec<ReplServeSample> {
     writer_counts
         .iter()
-        .enumerate()
-        .map(|(seq, &writers)| {
-            let root = fresh_root("serve", seq);
+        .map(|&writers| {
+            let root = TempDir::new("replbench-serve");
             let (node, catalog) = empty_primary(&root);
             let publisher = SegmentPublisher::new(Arc::clone(&node));
             for i in 0..n {
@@ -250,7 +239,6 @@ pub fn repl_serving_sweep(
                     "writers={writers} diverged at key {k}"
                 );
             }
-            let _ = std::fs::remove_dir_all(&root);
             ReplServeSample {
                 writers,
                 primary_qps,

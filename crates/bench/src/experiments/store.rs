@@ -14,6 +14,7 @@
 //! engine's `BENCH_engine.json`.
 
 use crate::table::{fmt_u64, Table};
+use pitract_core::tempdir::TempDir;
 use pitract_engine::batch::QueryBatch;
 use pitract_engine::shard::{ShardBy, ShardedRelation};
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
@@ -61,8 +62,7 @@ fn workload(n: i64) -> (Relation, QueryBatch) {
 /// repetitions per size, verifying the loaded relation against the cold
 /// one on every size. Shared by E16 and the `persistence` bench target.
 pub fn store_warmstart_sweep(sizes: &[i64], reps: usize) -> Vec<StoreSample> {
-    let dir = std::env::temp_dir().join(format!("pitract-e16-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = TempDir::new("e16");
     let samples = sizes
         .iter()
         .map(|&n| {
@@ -116,7 +116,6 @@ pub fn store_warmstart_sweep(sizes: &[i64], reps: usize) -> Vec<StoreSample> {
             }
         })
         .collect();
-    let _ = std::fs::remove_dir_all(&dir);
     samples
 }
 

@@ -23,14 +23,13 @@
 //! curves to `BENCH_wal.json` next to the other perf artifacts.
 
 use crate::table::{fmt_u64, Table};
+use pitract_core::tempdir::TempDir;
 use pitract_engine::live::LiveRelation;
 use pitract_engine::shard::ShardBy;
 use pitract_engine::{Applied, UpdateOp};
 use pitract_relation::{ColType, Relation, Schema, Value};
 use pitract_store::SnapshotCatalog;
 use pitract_wal::{Compactor, DurableLiveRelation, SyncPolicy, WalConfig, WalReader};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 /// Shards used throughout the sweep.
@@ -69,17 +68,6 @@ pub struct WalRecoverySample {
     pub compacted_replayed: usize,
     /// Seconds to recover after compaction (best of reps).
     pub compacted_seconds: f64,
-}
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-bench-wal-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 fn base_live(n: i64) -> LiveRelation {
@@ -191,7 +179,7 @@ pub fn wal_throughput_sweep(n: i64, per_writer: i64) -> Vec<WalThroughputSample>
         ("group commit (batched)", SyncPolicy::GroupCommit, true),
         ("OS-buffered", SyncPolicy::Never, false),
     ] {
-        let root = fresh_dir("thru");
+        let root = TempDir::new("bench-wal-thru");
         let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
         let wal_dir = root.join("wal");
         let config = WalConfig {
@@ -226,7 +214,6 @@ pub fn wal_throughput_sweep(n: i64, per_writer: i64) -> Vec<WalThroughputSample>
             seconds,
             updates_per_second: updates as f64 / seconds,
         });
-        let _ = std::fs::remove_dir_all(&root);
     }
     samples
 }
@@ -239,7 +226,7 @@ pub fn wal_recovery_sweep(n: i64, log_lens: &[usize], reps: usize) -> Vec<WalRec
     log_lens
         .iter()
         .map(|&target| {
-            let root = fresh_dir("rec");
+            let root = TempDir::new("bench-wal-rec");
             let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
             let wal_dir = root.join("wal");
             let config = WalConfig {
@@ -315,7 +302,6 @@ pub fn wal_recovery_sweep(n: i64, log_lens: &[usize], reps: usize) -> Vec<WalRec
             }
 
             let log_len = applied;
-            let _ = std::fs::remove_dir_all(&root);
             WalRecoverySample {
                 log_len,
                 raw_replayed,

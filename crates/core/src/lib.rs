@@ -28,6 +28,8 @@
 //! * [`encode`] — Σ*-style byte encodings giving every data/query value a
 //!   well-defined size `|D|`, `|Q|`, plus the unambiguous pairing that
 //!   replaces the paper's `@` padding symbol.
+//! * [`tempdir`] — the RAII scratch directory every test, bench and
+//!   example uses, unique per call so parallel tests never collide.
 //!
 //! The crate is deliberately free of data-structure implementations: B⁺-trees,
 //! RMQ/LCA structures, graphs, circuits and so on live in sibling crates and
@@ -63,6 +65,7 @@ pub mod problem;
 pub mod reduce;
 pub mod scheme;
 pub mod search;
+pub mod tempdir;
 
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {

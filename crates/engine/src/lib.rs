@@ -24,9 +24,11 @@
 //!   read/write locks so batches read-lock only the shards they route to
 //!   while updates write-lock only the one shard a key routes to, with
 //!   `|CHANGED|`-bounded maintenance accounting
-//!   ([`pitract_incremental::bounded::UpdateRecord`]) and a replayable
-//!   [`live::UpdateLog`] enabling checkpoint + recover through
-//!   `pitract-store`. [`live::LiveRelation::apply_batch`] applies a run
+//!   ([`pitract_incremental::bounded::UpdateRecord`]) and one log per
+//!   node: the installed [`live::WalSink`] (the `pitract-wal` write-ahead
+//!   log, through which durable nodes checkpoint and recover), or a
+//!   replayable in-memory [`live::UpdateLog`] on a node without one.
+//!   [`live::LiveRelation::apply_batch`] applies a run
 //!   of updates with one WAL commit for the whole batch. Reads are
 //!   MVCC: every applied update bumps a monotonic
 //!   [`pitract_core::epoch::Epoch`], a batch pins one epoch and sees

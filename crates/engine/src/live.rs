@@ -29,13 +29,16 @@
 //!   descent, which the record reports honestly). The aggregated
 //!   [`BoundednessReport`] is available from the serving node at any
 //!   time.
-//! * **Checkpoint + replayable update log.** Every applied update is
-//!   also appended to an in-memory [`UpdateLog`]. [`LiveRelation::freeze`]
+//! * **One log per node.** Every applied update is recorded exactly
+//!   once: staged to the installed [`WalSink`] (a durable node's
+//!   write-ahead log is its only log), or, on a node without a sink,
+//!   appended to an in-memory [`UpdateLog`]. [`LiveRelation::freeze`]
 //!   atomically exports the current state as a [`ShardedRelation`] (for
-//!   the `pitract-store` snapshot layer) together with the log position
-//!   it covers; replaying the remaining suffix onto the loaded snapshot
+//!   the `pitract-store` snapshot layer) together with the epoch of the
+//!   cut; replaying the updates logged after it onto the loaded snapshot
 //!   ([`LiveRelation::replay`]) reproduces the live state bit-identically
-//!   — same answers *and* same global row ids.
+//!   — same answers *and* same global row ids. Replay records nothing:
+//!   the entries it applies already live in the caller's log.
 //!
 //! Consistency model: **epoch-pinned snapshot reads (MVCC)**. A global
 //! [`Epoch`] clock ticks once per applied update, inside the same
@@ -151,27 +154,18 @@ pub enum Applied {
 }
 
 /// An ordered, replayable log of updates applied to a [`LiveRelation`]
-/// since its last checkpoint.
+/// since its last checkpoint — the in-memory log of a node without a
+/// [`WalSink`], and the decoded tail of a write-ahead log at recovery.
 ///
 /// Entries are appended inside the global-id critical section, so log
 /// order equals global-id assignment order even under concurrent writers
 /// — which is what makes replay deterministic: applying the entries in
 /// order onto the checkpoint state reassigns exactly the logged ids.
 /// The log is truncated on checkpoint ([`LiveRelation::freeze`] marks
-/// the covered prefix). `pitract-store` can persist a log as its own
-/// catalog entry kind.
-///
-/// Besides its entries the log carries [`Self::end_epoch`] — the
-/// absolute [`Epoch`] of the state after applying every entry, i.e. the
-/// epoch clock of the node the log was captured from. The end survives
-/// operations that change the entry count without changing the final
-/// state ([`Self::compact`], [`Self::drain_prefix`]), which is what lets
-/// recovery resume the clock exactly even when the log it replays is a
-/// compacted remnant with fewer entries than the history had ticks.
+/// the covered prefix).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct UpdateLog {
     entries: Vec<UpdateEntry>,
-    end_epoch: u64,
 }
 
 impl UpdateLog {
@@ -180,43 +174,14 @@ impl UpdateLog {
         Self::default()
     }
 
-    /// A log from pre-recorded entries describing a *fresh* history
-    /// (first entry applies onto epoch 0): the end epoch is the entry
-    /// count. For a log captured mid-history use
-    /// [`Self::from_entries_ending`].
+    /// A log from pre-recorded entries.
     pub fn from_entries(entries: Vec<UpdateEntry>) -> Self {
-        let end_epoch = entries.len() as u64;
-        UpdateLog { entries, end_epoch }
+        UpdateLog { entries }
     }
 
-    /// A log from pre-recorded entries whose final state has the given
-    /// absolute epoch (the store's decode path for logs persisted with
-    /// an epoch section).
-    pub fn from_entries_ending(entries: Vec<UpdateEntry>, end: Epoch) -> Self {
-        UpdateLog {
-            entries,
-            end_epoch: end.get(),
-        }
-    }
-
-    /// The absolute epoch of the state after applying every entry — the
-    /// epoch clock of the node this log was captured from.
-    pub fn end_epoch(&self) -> Epoch {
-        Epoch::new(self.end_epoch)
-    }
-
-    /// Advance the end epoch (monotonic max) without touching the
-    /// entries. Recovery uses this to re-stamp a replayed log with the
-    /// crashed node's clock, which ran ahead of the entry count when the
-    /// replay was compacted.
-    pub fn advance_end_to(&mut self, end: Epoch) {
-        self.end_epoch = self.end_epoch.max(end.get());
-    }
-
-    /// Append one entry: the final state is one update later.
+    /// Append one entry.
     pub fn push(&mut self, entry: UpdateEntry) {
         self.entries.push(entry);
-        self.end_epoch += 1;
     }
 
     /// Number of logged entries.
@@ -235,8 +200,6 @@ impl UpdateLog {
     }
 
     /// Drop the first `n` entries (they are covered by a checkpoint).
-    /// The final state — and therefore [`Self::end_epoch`] — is
-    /// unchanged.
     pub fn drain_prefix(&mut self, n: usize) {
         self.entries.drain(..n.min(self.entries.len()));
     }
@@ -340,9 +303,6 @@ impl UpdateLog {
                 .filter(|(_, &dead)| !dead)
                 .map(|(e, _)| e.clone())
                 .collect(),
-            // Cancelling a pair drops entries, not history: the final
-            // state (and its epoch) is the same one the full log reaches.
-            end_epoch: self.end_epoch,
         }
     }
 }
@@ -580,15 +540,17 @@ impl Drop for EpochPin<'_> {
 }
 
 /// A point-in-time export of a [`LiveRelation`]: the state, the
-/// **absolute** log position it covers, and the epoch of the cut — all
-/// three taken under one consistent set of locks, so
-/// `epoch - birth epoch == covered` always holds.
+/// **absolute** in-memory log position it covers, and the epoch of the
+/// cut — all three taken under one consistent set of locks.
 #[derive(Debug)]
 pub struct Frozen {
     /// The exported state (every update up to `covered` applied).
     pub state: ShardedRelation,
-    /// Absolute log position the state covers (entries ever logged,
-    /// including already-truncated ones).
+    /// Absolute in-memory log position the state covers (entries ever
+    /// logged, including already-truncated ones). It stops advancing
+    /// once a [`WalSink`] is installed, because the sink is then the
+    /// node's only log; a durable checkpoint takes its WAL mark from
+    /// `epoch` instead.
     pub covered: usize,
     /// The epoch of the cut: the epoch clock's value when the state was
     /// frozen.
@@ -658,15 +620,16 @@ pub struct LiveRelation {
     /// retained.
     retained: AtomicUsize,
     /// Updates since the last checkpoint, in global-id order, with the
-    /// absolute position of the oldest pending entry.
+    /// absolute position of the oldest pending entry. Written only while
+    /// no sink is installed: a sink is then the node's one log.
     log: OrderedMutex<LogState>,
-    /// One record per applied update, in the same order as the log.
+    /// One record per applied update, in apply order.
     maintenance: Mutex<BoundednessReport>,
     /// One record per retained undo record, charged in the same
     /// `|CHANGED|` currency as update maintenance.
     version_maintenance: Mutex<BoundednessReport>,
     /// Optional durable write-ahead sink; staged inside the gid critical
-    /// section so sink order ≡ log order ≡ gid order.
+    /// section so sink order ≡ gid order ≡ epoch order.
     sink: Option<Arc<dyn WalSink>>,
     /// The observability handle ([`LiveRelation::set_recorder`]);
     /// disabled by default, in which case every instrument below is a
@@ -801,7 +764,9 @@ impl LiveRelation {
     /// Install (or remove) a durable write-ahead sink. Every subsequent
     /// insert/delete is staged to the sink inside the gid critical
     /// section and committed after the locks drop — see [`WalSink`] for
-    /// the exact contract. Takes `&mut self` so a sink can only be
+    /// the exact contract. While a sink is installed it is the node's
+    /// only log: updates are not also kept in the in-memory
+    /// [`UpdateLog`]. Takes `&mut self` so a sink can only be
     /// swapped while no concurrent writer can race the transition
     /// (typically right after construction or recovery, before the
     /// relation is shared).
@@ -1008,17 +973,8 @@ impl LiveRelation {
     /// update with the same epoch the crashed node would have. No-op if
     /// the clock is already there.
     pub fn advance_epoch_to(&self, epoch: Epoch) {
-        let current = {
-            let mut epochs = self.lock_epochs();
-            epochs.current = epochs.current.max(epoch.get());
-            epochs.current
-        };
-        // Keep the pending log's end stamp on the same clock, so a log
-        // captured from this node — even one whose entries are a
-        // compacted remnant of a longer history — still names the epoch
-        // its final state has ([`UpdateLog::end_epoch`]); a second
-        // recovery resumes from there instead of undercounting.
-        self.lock_log().log.advance_end_to(Epoch::new(current));
+        let mut epochs = self.lock_epochs();
+        epochs.current = epochs.current.max(epoch.get());
     }
 
     /// How much memory the MVCC version rings hold right now, and why.
@@ -1107,7 +1063,7 @@ impl LiveRelation {
     /// failure means the insert *is* applied and staged but its
     /// durability is unconfirmed.
     pub fn insert(&self, row: Vec<Value>) -> Result<usize, EngineError> {
-        let (gid, ticket) = self.insert_staged(row)?;
+        let (gid, ticket) = self.insert_staged(row, true)?;
         self.commit_ticket(ticket)?;
         Ok(gid)
     }
@@ -1115,8 +1071,13 @@ impl LiveRelation {
     /// The staged half of [`Self::insert`]: apply the insert and stage
     /// it to the sink, but leave the sink commit (the possible fsync
     /// wait) to the caller — [`Self::apply_batch`] commits once for a
-    /// whole run of staged ops.
-    fn insert_staged(&self, row: Vec<Value>) -> Result<(usize, Option<u64>), EngineError> {
+    /// whole run of staged ops. `record` is false for a replay, whose
+    /// entries already live in the caller's log.
+    fn insert_staged(
+        &self,
+        row: Vec<Value>,
+        record: bool,
+    ) -> Result<(usize, Option<u64>), EngineError> {
         self.schema
             .admits(&row)
             .map_err(|e| EngineError::Indexed(IndexedError::RowRejected(e)))?;
@@ -1126,19 +1087,24 @@ impl LiveRelation {
             let len_before = guard.current.len();
             // The id maps are updated while the shard lock is still held
             // so `global_ids[shard]` stays aligned with the shard's local
-            // ids, and the sink/log/record appends happen inside the gid
-            // critical section so WAL order equals log order equals gid
-            // order (replay determinism).
+            // ids, and the log/record appends happen inside the gid
+            // critical section so log order equals gid order (replay
+            // determinism).
             let mut ids = self.write_ids();
             let gid = ids.locations.len();
-            let ticket = match &self.sink {
-                // Staged before anything is applied: a rejected stage
-                // leaves the relation untouched.
-                Some(sink) => Some(sink.stage(&UpdateEntry::Insert {
-                    gid,
-                    row: row.clone(),
-                })?),
-                None => None,
+            // The node's one log: the sink, staged before anything is
+            // applied (a rejected stage leaves the relation untouched),
+            // or else the in-memory log, appended once the insert landed.
+            let (ticket, logged) = match (&self.sink, record) {
+                (_, false) => (None, None),
+                (Some(sink), true) => (
+                    Some(sink.stage(&UpdateEntry::Insert {
+                        gid,
+                        row: row.clone(),
+                    })?),
+                    None,
+                ),
+                (None, true) => (None, Some(row.clone())),
             };
             // The epochs mutex is held across apply → bump → record so
             // a reader cannot pin between the clock tick and the
@@ -1147,12 +1113,12 @@ impl LiveRelation {
             // write); writers lose nothing — they are already
             // serialized by the ids write lock held above.
             let mut epochs = self.lock_epochs();
-            let local = match guard.current.insert(row.clone()) {
+            let local = match guard.current.insert(row) {
                 Ok(local) => local,
                 Err(e) => return Err(EngineError::Indexed(e)),
             };
             // The clock ticks only after the update actually applied:
-            // epoch ≡ absolute log position, with no gaps.
+            // one tick per logged update, with no gaps.
             epochs.current += 1;
             guard.stamp = epochs.current;
             self.record_undo(&mut guard, &epochs, || UndoOp::Insert { local });
@@ -1167,7 +1133,9 @@ impl LiveRelation {
             ids.global_ids[shard].push(gid);
             ids.locations.push(Some((shard, local)));
             ids.live += 1;
-            self.lock_log().log.push(UpdateEntry::Insert { gid, row });
+            if let Some(row) = logged {
+                self.lock_log().log.push(UpdateEntry::Insert { gid, row });
+            }
             self.lock_maintenance()
                 .push(maintenance_record(self.indexed_cols.len(), len_before));
             self.instruments.updates.inc();
@@ -1183,13 +1151,17 @@ impl LiveRelation {
     /// installed, with the same staged/commit semantics as
     /// [`Self::insert`].
     pub fn delete(&self, gid: usize) -> Result<Option<Vec<Value>>, EngineError> {
-        let (row, ticket) = self.delete_staged(gid)?;
+        let (row, ticket) = self.delete_staged(gid, true)?;
         self.commit_ticket(ticket)?;
         Ok(row)
     }
 
     /// The staged half of [`Self::delete`] — see [`Self::insert_staged`].
-    fn delete_staged(&self, gid: usize) -> Result<(Option<Vec<Value>>, Option<u64>), EngineError> {
+    fn delete_staged(
+        &self,
+        gid: usize,
+        record: bool,
+    ) -> Result<(Option<Vec<Value>>, Option<u64>), EngineError> {
         // Find the owning shard first (ids read lock, released), then
         // re-acquire in the canonical shard → ids order. A location is
         // written once and only ever transitions Some → None, so if it is
@@ -1207,9 +1179,9 @@ impl LiveRelation {
                 // A concurrent delete won the race.
                 return Ok((None, None));
             }
-            let ticket = match &self.sink {
-                Some(sink) => Some(sink.stage(&UpdateEntry::Delete { gid })?),
-                None => None,
+            let ticket = match (&self.sink, record) {
+                (Some(sink), true) => Some(sink.stage(&UpdateEntry::Delete { gid })?),
+                _ => None,
             };
             ids.locations[gid] = None;
             ids.live -= 1;
@@ -1236,7 +1208,9 @@ impl LiveRelation {
                 self.retained.fetch_sub(dropped, Ordering::AcqRel);
                 self.instruments.retained.add(-(dropped as i64));
             }
-            self.lock_log().log.push(UpdateEntry::Delete { gid });
+            if record && self.sink.is_none() {
+                self.lock_log().log.push(UpdateEntry::Delete { gid });
+            }
             self.lock_maintenance()
                 .push(maintenance_record(self.indexed_cols.len(), len_before));
             self.instruments.updates.inc();
@@ -1282,10 +1256,10 @@ impl LiveRelation {
         for op in ops {
             let staged = match op {
                 UpdateOp::Insert(row) => self
-                    .insert_staged(row)
+                    .insert_staged(row, true)
                     .map(|(gid, t)| (Applied::Inserted(gid), t)),
                 UpdateOp::Delete(gid) => self
-                    .delete_staged(gid)
+                    .delete_staged(gid, true)
                     .map(|(row, t)| (Applied::Deleted(row), t)),
             };
             match staged {
@@ -1536,7 +1510,9 @@ impl LiveRelation {
     // --- checkpoint & recovery --------------------------------------------
 
     /// Updates applied since the last confirmed checkpoint, oldest
-    /// first.
+    /// first — the in-memory log of a node without a [`WalSink`]. Empty
+    /// for the updates applied while a sink is installed: those live in
+    /// the sink alone.
     pub fn pending_log(&self) -> UpdateLog {
         self.lock_log().log.clone()
     }
@@ -1609,7 +1585,9 @@ impl LiveRelation {
     /// snapshot): re-applies every entry in order and verifies each
     /// insert reproduces the logged global id. On success the relation's
     /// state — answers *and* global row ids — equals the state the log
-    /// was recorded from.
+    /// was recorded from. Replayed entries are not recorded again —
+    /// neither staged to a sink nor appended to the in-memory log — since
+    /// they already live in the log the caller replays from.
     pub fn replay(&self, log: &UpdateLog) -> Result<usize, EngineError> {
         self.replay_inner(log, false)
     }
@@ -1630,24 +1608,13 @@ impl LiveRelation {
         self.replay_inner(log, true)
     }
 
-    /// Replay a bare entry slice with [`Self::replay_compacted`]
-    /// semantics (forward gid gaps burn as tombstones, backward gids
-    /// fail typed). This is the follower-replication apply path: a
-    /// `pitract-repl` follower streams already-compacted WAL records
-    /// from its primary — the stream may carry gid gaps wherever the
-    /// primary's compactor cancelled an insert+delete pair — and
-    /// re-applies them here, which is what keeps a replica's answers
-    /// *and* global row ids bit-identical to the primary's prefix.
-    pub fn replay_entries(&self, entries: &[UpdateEntry]) -> Result<usize, EngineError> {
-        self.replay_compacted(&UpdateLog::from_entries(entries.to_vec()))
-    }
-
     /// Advance the global-id allocator to `next_gid` without inserting:
     /// the skipped ids are burned as permanent tombstones (they read
     /// back as deleted). No-op if the allocator is already there.
     ///
-    /// Recovery calls this with [`UpdateLog::next_gid_watermark`] after
-    /// replaying a compacted log: a *trailing* insert+delete pair leaves
+    /// The `pitract-wal` restore routine calls this with
+    /// [`UpdateLog::next_gid_watermark`] after replaying a compacted log:
+    /// a *trailing* insert+delete pair leaves
     /// no surviving entry to carry its ids, yet the crashed node had
     /// assigned them — burning keeps the recovered node's future id
     /// assignments bit-identical to the history the log records.
@@ -1668,7 +1635,7 @@ impl LiveRelation {
                             ids.locations.push(None);
                         }
                     }
-                    let got = self.insert(row.clone())?;
+                    let (got, _) = self.insert_staged(row.clone(), false)?;
                     if got != *gid {
                         return Err(EngineError::ReplayGidMismatch {
                             expected: *gid,
@@ -1677,7 +1644,8 @@ impl LiveRelation {
                     }
                 }
                 UpdateEntry::Delete { gid } => {
-                    self.delete(*gid)?
+                    self.delete_staged(*gid, false)?
+                        .0
                         .ok_or(EngineError::ReplayMissingRow { gid: *gid })?;
                 }
             }
@@ -1820,6 +1788,10 @@ mod tests {
         // Recover: wrap the frozen state, replay the pending suffix.
         let recovered = LiveRelation::from_sharded(state);
         recovered.replay(&lr.pending_log()).unwrap();
+        assert!(
+            recovered.pending_log().is_empty(),
+            "replay records nothing: its entries live in the caller's log"
+        );
 
         assert_eq!(recovered.len(), lr.len());
         for gid in 0..53 {
@@ -2146,10 +2118,30 @@ mod tests {
                 });
             }
         });
-        // The staged stream is exactly the update log: same entries, same
-        // order — the invariant a durable WAL replays by.
+        // The staged stream is in gid order — the invariant a durable WAL
+        // replays by: inserts carry gids 0, 1, 2, … in staging order, and
+        // every delete follows the insert of its gid.
         let staged = sink.staged.lock().unwrap();
-        assert_eq!(staged.as_slice(), lr.pending_log().entries());
+        let mut next_gid = 0;
+        for entry in staged.iter() {
+            match entry {
+                UpdateEntry::Insert { gid, .. } => {
+                    assert_eq!(*gid, next_gid, "inserts staged in gid order");
+                    next_gid += 1;
+                }
+                UpdateEntry::Delete { gid } => assert!(*gid < next_gid, "delete of gid {gid}"),
+            }
+        }
+        assert_eq!(next_gid, 160);
+        assert_eq!(staged.len(), 240);
+        assert!(lr.pending_log().is_empty(), "the sink is the only log");
+        let fresh = live(0, 4);
+        fresh
+            .replay(&UpdateLog::from_entries(staged.clone()))
+            .unwrap();
+        for gid in 0..160 {
+            assert_eq!(fresh.row(gid), lr.row(gid), "gid {gid}");
+        }
         assert_eq!(
             sink.committed.lock().unwrap().len(),
             staged.len(),
@@ -2190,10 +2182,15 @@ mod tests {
             &[3],
             "one commit, of the last staged ticket"
         );
-        // The log replays to the same state (batching changes commit
-        // cadence, never history).
+        // The staged log replays to the same state (batching changes
+        // commit cadence, never history).
+        assert!(lr.pending_log().is_empty(), "the sink is the only log");
         let fresh = live(10, 3);
-        fresh.replay(&lr.pending_log()).unwrap();
+        fresh
+            .replay(&UpdateLog::from_entries(
+                sink.staged.lock().unwrap().clone(),
+            ))
+            .unwrap();
         for gid in 0..12 {
             assert_eq!(fresh.row(gid), lr.row(gid), "gid {gid}");
         }

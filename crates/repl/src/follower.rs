@@ -6,11 +6,12 @@
 //! recovery guarantees:
 //!
 //! * **Bootstrap** loads the primary's checkpoint snapshot
-//!   (`(state, wal_lsn, epoch)`), replays whatever its *local* segment
-//!   mirror already holds past the mark (the restart path), and fixes
-//!   the epoch ↔ LSN dictionary at the checkpoint cut:
-//!   `epoch(lsn) = cut + (lsn − mark)`. The dictionary is derived from
-//!   the checkpoint alone, so it survives follower restarts unchanged.
+//!   (`(state, wal_lsn, epoch)`) and rebuilds from it plus whatever its
+//!   *local* segment mirror already holds past the mark (the restart
+//!   path) through [`pitract_wal::restore()`] — the routine a crashed
+//!   primary recovers with. The checkpoint fixes the epoch ↔ LSN rule
+//!   `epoch(lsn) = cut + (lsn − mark)`, the same one the primary runs
+//!   on, so it survives follower restarts unchanged.
 //! * **Catch-up** polls the publisher for durable record frames,
 //!   validates them with the on-disk segment scanner (torn or garbled
 //!   shipments fail typed), persists them to the local mirror *first*
@@ -19,7 +20,7 @@
 //!   semantics — gid gaps left by primary compaction burn as
 //!   tombstones, so answers *and* global row ids stay bit-identical to
 //!   the primary's prefix. LSN gaps advance the epoch clock without
-//!   replaying, keeping the dictionary exact:
+//!   replaying, keeping the rule exact:
 //!   `current_epoch == epoch_of_lsn(applied_lsn)` after every step.
 //! * **Serving** implements [`BatchServe`] by delegating to the inner
 //!   [`LiveRelation`], whose MVCC pin is taken at the current epoch —
@@ -42,15 +43,16 @@ use pitract_engine::batch::WorkerResults;
 use pitract_engine::planner::QueryPlan;
 use pitract_engine::{
     BatchAnswers, BatchRows, BatchServe, EngineError, LiveRelation, QueryBatch, UpdateEntry,
+    UpdateLog,
 };
 use pitract_obs::{Gauge, Histogram, Recorder};
 use pitract_relation::{Schema, SelectionQuery, Value};
 use pitract_store::codec::Reader as CodecReader;
 use pitract_store::{fsync_dir, SnapshotCatalog};
 use pitract_wal::segment::{
-    scan_dir, scan_segment, segment_file_name, segment_header, SEGMENT_HEADER_LEN,
+    heal_tail, scan_dir, scan_segment, segment_file_name, segment_header, SEGMENT_HEADER_LEN,
 };
-use pitract_wal::{SyncPolicy, WalConfig, WalError, WalReader};
+use pitract_wal::{restore, EpochLsn, SyncPolicy, WalConfig, WalError, WalReader};
 use std::io::Write;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -159,10 +161,8 @@ pub struct Follower {
     applying: AtomicBool,
     /// The follower's cursor in the *primary's* LSN coordinate.
     applied: AtomicU64,
-    /// The checkpoint's WAL mark: LSN half of the epoch dictionary.
-    wal_base: u64,
-    /// The checkpoint's cut epoch: epoch half of the dictionary.
-    epoch_base: u64,
+    /// The epoch ↔ LSN rule, fixed by the bootstrap checkpoint.
+    clock: EpochLsn,
     lag_gauge: Gauge,
     replay_micros: Histogram,
 }
@@ -171,8 +171,8 @@ impl Follower {
     /// Bootstrap (or restart — same code path, same as the primary's
     /// recovery) a follower: load the checkpoint saved under `name` in
     /// `catalog`, replay whatever `mirror_dir` already holds past the
-    /// checkpoint mark, and fix the epoch ↔ LSN dictionary at the
-    /// checkpoint cut. `config.segment_bytes` sizes the local mirror
+    /// checkpoint mark, and fix the epoch ↔ LSN rule at the checkpoint
+    /// cut. `config.segment_bytes` sizes the local mirror
     /// segments; `config.sync` chooses whether catch-up fsyncs shipped
     /// frames before applying them ([`SyncPolicy::Never`] skips the
     /// flush, trading replica rebuild-on-power-loss for speed).
@@ -203,41 +203,13 @@ impl Follower {
             .into_checkpoint()
             .map_err(WalError::from)?;
 
-        // Scan the local mirror exactly like primary recovery scans its
-        // WAL: truncate the torn tail a crash mid-append left behind,
-        // fail typed on closed-segment damage.
+        // Scan and heal the local mirror exactly like primary recovery
+        // does its WAL: truncate the torn tail a crash mid-append left
+        // behind, fail typed on closed-segment damage.
         let scan = scan_dir(&dir)?;
-        let mut active: Option<(PathBuf, u64)> = None;
-        if let Some(seg) = scan.segments.last() {
-            if seg.clean_len >= SEGMENT_HEADER_LEN as u64 {
-                if seg.clean_len < seg.file_len {
-                    let file = std::fs::OpenOptions::new().write(true).open(&seg.path)?;
-                    file.set_len(seg.clean_len)?;
-                    file.sync_all()?;
-                }
-                active = Some((seg.path.clone(), seg.clean_len));
-            } else {
-                // Torn at birth: the header never hit the disk, nothing
-                // in it was confirmed.
-                std::fs::remove_file(&seg.path)?;
-            }
-        }
+        let active = heal_tail(&scan)?;
         let reader = WalReader::from_scan_observed(&scan, recorder)?;
-
-        let mut live = LiveRelation::from_sharded(state);
-        live.set_recorder(recorder);
-        let tail = reader.tail_log(mark);
-        let compacted = tail.compact();
-        live.replay_compacted(&compacted)?;
-        if let Some(watermark) = tail.next_gid_watermark() {
-            live.burn_gids_to(watermark);
-        }
-        let applied = reader.next_lsn().max(mark);
-        // The dictionary is fixed by the checkpoint alone — mark ↔ cut —
-        // so it is identical on every restart of this follower, and LSN
-        // gaps (primary compaction) advance the clock by their span, not
-        // by the record count the replay happened to tick.
-        live.advance_epoch_to(Epoch::new(cut.get() + (applied - mark)));
+        let (live, recovered) = restore(state, mark, cut, &reader, recorder)?;
 
         let file = match &active {
             Some((path, _)) => Some(std::fs::OpenOptions::new().append(true).open(path)?),
@@ -256,9 +228,8 @@ impl Follower {
             // rank, after the publisher's table (sub-order 0).
             mirror: OrderedMutex::with_sub_order(LockRank::FollowerCatchup, 1, mirror),
             applying: AtomicBool::new(false),
-            applied: AtomicU64::new(applied),
-            wal_base: mark,
-            epoch_base: cut.get(),
+            applied: AtomicU64::new(recovered.lsn),
+            clock: recovered.clock,
             lag_gauge: recorder.gauge("replication_lag_lsn"),
             replay_micros: recorder.histogram("repl_replay_micros"),
         })
@@ -275,17 +246,17 @@ impl Follower {
         self.epoch_of_lsn(self.applied_lsn())
     }
 
-    /// The follower's epoch ↔ LSN dictionary, fixed at the bootstrap
+    /// The follower's epoch ↔ LSN rule, fixed at the bootstrap
     /// checkpoint: the epoch whose state covers exactly the primary
     /// records below `lsn`.
     pub fn epoch_of_lsn(&self, lsn: u64) -> Epoch {
-        Epoch::new(self.epoch_base + lsn.saturating_sub(self.wal_base))
+        self.clock.epoch_of_lsn(lsn)
     }
 
     /// Inverse of [`Self::epoch_of_lsn`]: the first primary LSN *not*
     /// covered by `epoch`.
     pub fn lsn_of_epoch(&self, epoch: Epoch) -> u64 {
-        self.wal_base + epoch.get().saturating_sub(self.epoch_base)
+        self.clock.lsn_of_epoch(epoch)
     }
 
     /// Register this follower in `publisher`'s retention table at its
@@ -446,8 +417,9 @@ impl Follower {
         // ids stay bit-identical.
         let started = std::time::Instant::now();
         let to_apply: Vec<UpdateEntry> = entries.into_iter().map(|(_, _, e)| e).collect();
-        self.live.replay_entries(&to_apply)?;
-        // LSN gaps advance the clock by their span: the dictionary
+        self.live
+            .replay_compacted(&UpdateLog::from_entries(to_apply))?;
+        // LSN gaps advance the clock by their span: the rule's
         // invariant `current_epoch == epoch_of_lsn(applied)` holds
         // after every step, whatever compaction dropped.
         self.live.advance_epoch_to(self.epoch_of_lsn(ship.end()));
@@ -567,24 +539,12 @@ impl BatchServe for Follower {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pitract_engine::ShardBy;
+    use pitract_core::tempdir::TempDir;
+    use pitract_engine::{ShardBy, UpdateOp};
     use pitract_relation::{ColType, Relation};
     use pitract_wal::DurableLiveRelation;
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::AtomicUsize;
+    use std::path::Path;
     use std::sync::Arc;
-
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "pitract-replfol-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::SeqCst)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn config() -> WalConfig {
         WalConfig {
@@ -608,7 +568,7 @@ mod tests {
 
     #[test]
     fn follower_catches_up_and_matches_the_primary_bit_for_bit() {
-        let root = fresh_dir("basic");
+        let root = TempDir::new("replfol-basic");
         let (node, catalog) = primary(&root, 5);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         let follower =
@@ -650,12 +610,11 @@ mod tests {
             follower.lsn_of_epoch(follower.applied_epoch()),
             report.applied_lsn
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn follower_restart_resumes_from_its_mirror() {
-        let root = fresh_dir("restart");
+        let root = TempDir::new("replfol-restart");
         let (node, catalog) = primary(&root, 0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         for i in 0..25i64 {
@@ -682,12 +641,11 @@ mod tests {
         assert_eq!(back.len(), node.len());
         let q = SelectionQuery::point(0, 30);
         assert_eq!(back.matching_ids(&q), node.matching_ids(&q));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn catch_up_bridges_compaction_gaps_with_identical_gids() {
-        let root = fresh_dir("gaps");
+        let root = TempDir::new("replfol-gaps");
         let (node, catalog) = primary(&root, 0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         // Churn whose pairs cancel inside closed segments, then compact
@@ -734,12 +692,11 @@ mod tests {
             follower.matching_ids(&SelectionQuery::point(0, 777)),
             vec![gid]
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn garbled_shipment_fails_typed_and_applies_nothing() {
-        let root = fresh_dir("garble");
+        let root = TempDir::new("replfol-garble");
         let (node, catalog) = primary(&root, 0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         for i in 0..6i64 {
@@ -767,12 +724,97 @@ mod tests {
         let sub = follower.attach(&publisher);
         follower.catch_up(&publisher, sub).unwrap();
         assert_eq!(follower.len(), node.len());
-        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Compaction drops cancelled pairs above the checkpoint mark, so
+    /// the WAL tail has fewer records than the history had updates. A
+    /// recovered primary still resumes the crashed node's clock, and it
+    /// maps every LSN to the same epoch a follower of the same
+    /// checkpoint does: one rule, fixed by the checkpoint.
+    #[test]
+    fn recovered_primary_and_follower_share_one_epoch_rule_after_compaction() {
+        let root = TempDir::new("replfol-onerule");
+        let config = WalConfig {
+            segment_bytes: 1 << 20,
+            sync: SyncPolicy::Never,
+        };
+        let schema = Schema::new(&[("id", ColType::Int)]);
+        let rel = Relation::from_rows(schema, vec![]).unwrap();
+        let live = LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let wal_dir = root.join("wal");
+        let node =
+            DurableLiveRelation::create(live, &catalog, "node", &wal_dir, config.clone()).unwrap();
+        for i in 0..10i64 {
+            let gid = node.insert(vec![Value::Int(i)]).unwrap();
+            node.delete(gid).unwrap().unwrap();
+        }
+        node.insert(vec![Value::Int(99)]).unwrap();
+        node.wal().rotate_now().unwrap();
+        let report = node.compact_wal().unwrap();
+        assert_eq!(report.records_after, 1, "{report:?}");
+        let crashed_epoch = node.current_epoch();
+        let next_lsn = node.wal().next_lsn();
+        assert_eq!((crashed_epoch, next_lsn), (Epoch::new(21), 21));
+        drop(node);
+
+        let primary = Arc::new(
+            DurableLiveRelation::recover(&catalog, "node", &wal_dir, config.clone()).unwrap(),
+        );
+        assert_eq!(primary.current_epoch(), crashed_epoch);
+        assert_eq!(primary.recovery_summary().unwrap().epoch, crashed_epoch);
+        let publisher = SegmentPublisher::new(Arc::clone(&primary));
+        let follower =
+            Follower::bootstrap(&catalog, "node", root.join("mirror"), config.clone()).unwrap();
+        let sub = follower.attach(&publisher);
+        follower.catch_up(&publisher, sub).unwrap();
+        assert_eq!(follower.current_epoch(), primary.current_epoch());
+        for lsn in 0..=next_lsn {
+            assert_eq!(
+                primary.epoch_of_lsn(lsn),
+                follower.epoch_of_lsn(lsn),
+                "lsn {lsn}"
+            );
+        }
+        // Both stamp the next update with the same epoch.
+        primary.insert(vec![Value::Int(100)]).unwrap();
+        follower.catch_up(&publisher, sub).unwrap();
+        assert_eq!(primary.current_epoch(), Epoch::new(22));
+        assert_eq!(follower.current_epoch(), Epoch::new(22));
+        assert_eq!(primary.lsn_of_epoch(Epoch::new(22)), 22);
+    }
+
+    /// A follower replays shipments into its engine without keeping an
+    /// in-memory copy of them: the mirror is its log.
+    #[test]
+    fn shipments_leave_no_in_memory_log_on_the_follower() {
+        let root = TempDir::new("replfol-onelog");
+        let (node, catalog) = primary(&root, 4);
+        let publisher = SegmentPublisher::new(Arc::clone(&node));
+        let follower =
+            Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).unwrap();
+        let sub = follower.attach(&publisher);
+        for i in 0..12i64 {
+            node.apply_batch((0..4).map(|k| UpdateOp::Insert(vec![Value::Int(100 + i * 4 + k)])))
+                .unwrap();
+            let before = follower.applied_lsn();
+            follower.catch_up(&publisher, sub).unwrap();
+            assert!(follower.applied_lsn() > before, "shipment {i} applied");
+        }
+        assert_eq!(follower.len(), node.len());
+        assert_eq!(follower.live.pending_log().len(), 0);
+        assert_eq!(node.pending_log().len(), 0);
+        // A restart replays the mirror through the same restore routine,
+        // again without a copy.
+        drop(follower);
+        let back = Follower::bootstrap(&catalog, "node", root.join("mirror"), config()).unwrap();
+        assert_eq!(back.len(), node.len());
+        assert_eq!(back.live.pending_log().len(), 0);
     }
 
     #[test]
     fn concurrent_catch_up_is_excluded_typed() {
-        let root = fresh_dir("turnstile");
+        let root = TempDir::new("replfol-turnstile");
         let (node, catalog) = primary(&root, 3);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         let follower =
@@ -784,6 +826,5 @@ mod tests {
         assert!(matches!(err, ReplError::CatchUpInProgress), "{err}");
         follower.applying.store(false, Ordering::SeqCst);
         assert!(follower.catch_up(&publisher, sub).is_ok());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

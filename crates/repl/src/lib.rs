@@ -5,9 +5,10 @@
 //! horizontally while one primary owns writes. Everything needed for
 //! that was already built for durability — WAL segments carry explicit
 //! LSNs, closed segments are immutable, checkpoints name an exact
-//! `(state, wal_lsn, epoch)` cut, and the epoch ↔ LSN dictionary maps
-//! MVCC cuts onto log positions — so replication here is *log
-//! shipping*, not a second consistency mechanism:
+//! `(state, wal_lsn, epoch)` cut that fixes one epoch ↔ LSN rule, and
+//! `pitract_wal::restore` rebuilds a node from a checkpoint plus a log
+//! tail — so replication here is *log shipping*, not a second
+//! consistency mechanism:
 //!
 //! * [`SegmentPublisher`] (primary side) exposes the primary's WAL as a
 //!   polled tail subscription. Each [`Shipment`] is a run of record
@@ -18,9 +19,10 @@
 //!   minimum applied LSN across attached followers is the **retention
 //!   watermark** the primary's compactor honors, which closes the
 //!   compaction/replication race by construction.
-//! * [`Follower`] bootstraps from the primary's checkpoint snapshot,
+//! * [`Follower`] bootstraps from the primary's checkpoint snapshot
+//!   through the same restore routine a crashed primary recovers with,
 //!   streams shipments into its own local segment mirror (durability
-//!   first, then apply), and replays them into its own recovered
+//!   first, then apply), and replays them into its
 //!   [`pitract_engine::LiveRelation`]. Served batches pin **the epoch
 //!   of the last LSN the follower replayed** — every read is a
 //!   consistent cut that is a true prefix of the primary, bit-identical

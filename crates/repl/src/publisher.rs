@@ -331,25 +331,13 @@ impl SegmentPublisher {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pitract_core::tempdir::TempDir;
     use pitract_engine::LiveRelation;
     use pitract_engine::ShardBy;
     use pitract_relation::{ColType, Relation, Schema, Value};
     use pitract_store::SnapshotCatalog;
     use pitract_wal::{SyncPolicy, WalConfig};
-    use std::path::{Path, PathBuf};
-    use std::sync::atomic::{AtomicUsize, Ordering};
-
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "pitract-replpub-{tag}-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::SeqCst)
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use std::path::Path;
 
     fn primary(root: &Path, rows: i64) -> Arc<DurableLiveRelation> {
         let schema = Schema::new(&[("id", ColType::Int)]);
@@ -374,7 +362,7 @@ mod tests {
 
     #[test]
     fn poll_ships_exactly_the_durable_tail_in_wire_format() {
-        let root = fresh_dir("wire");
+        let root = TempDir::new("replpub-wire");
         let node = primary(&root, 4);
         for i in 0..10i64 {
             node.insert(vec![Value::Int(100 + i)]).unwrap();
@@ -395,12 +383,11 @@ mod tests {
         // Re-polling from the end is empty, not an error.
         let again = publisher.poll(ship.end()).unwrap();
         assert!(again.is_empty());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn byte_budget_caps_a_shipment_without_losing_records() {
-        let root = fresh_dir("cap");
+        let root = TempDir::new("replpub-cap");
         let node = primary(&root, 0);
         for i in 0..20i64 {
             node.insert(vec![Value::Int(i)]).unwrap();
@@ -420,12 +407,11 @@ mod tests {
         }
         assert_eq!(total, 20, "every record arrives across capped polls");
         assert!(polls > 1, "the budget actually split the stream");
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn retention_watermark_tracks_the_slowest_attached_follower() {
-        let root = fresh_dir("watermark");
+        let root = TempDir::new("replpub-watermark");
         let node = primary(&root, 0);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         assert_eq!(publisher.retention_watermark(), None);
@@ -441,12 +427,11 @@ mod tests {
         assert_eq!(publisher.retention_watermark(), Some(17));
         publisher.detach(fast);
         assert_eq!(publisher.retention_watermark(), None);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn polling_below_the_compaction_floor_is_stale_typed() {
-        let root = fresh_dir("stale");
+        let root = TempDir::new("replpub-stale");
         let node = primary(&root, 0);
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         for i in 0..30i64 {
@@ -463,6 +448,5 @@ mod tests {
         let floor = publisher.compaction_floor();
         assert!(floor > 0);
         assert!(publisher.poll(floor).is_ok());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -6,26 +6,16 @@
 //! mid-catch-up restarts bit-identical to the oracle replay of its
 //! confirmed prefix: answers AND global row ids).
 
-use pitract_engine::{LiveRelation, ShardBy, UpdateEntry};
+use pitract_core::tempdir::TempDir;
+use pitract_engine::{LiveRelation, ShardBy, UpdateEntry, UpdateLog};
 use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
 use pitract_repl::{Follower, ReplError, SegmentPublisher, Shipment};
 use pitract_store::SnapshotCatalog;
 use pitract_wal::{DurableLiveRelation, SyncPolicy, WalConfig, WalReader};
 use proptest::prelude::*;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-repl-crash-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use std::sync::Arc;
 
 fn config(segment_bytes: u64) -> WalConfig {
     WalConfig {
@@ -78,7 +68,9 @@ fn oracle_at(catalog: &SnapshotCatalog, root: &Path, below_lsn: u64) -> LiveRela
         .filter(|r| r.lsn >= mark && r.lsn < below_lsn)
         .map(|r| r.entry.clone())
         .collect();
-    oracle.replay_entries(&entries).unwrap();
+    oracle
+        .replay_compacted(&UpdateLog::from_entries(entries))
+        .unwrap();
     oracle
 }
 
@@ -104,7 +96,7 @@ fn assert_matches_oracle(follower: &Follower, oracle: &LiveRelation, tag: &str) 
 /// produce is tried.
 #[test]
 fn shipment_truncated_at_every_byte_offset_fails_typed_and_applies_nothing() {
-    let root = fresh_dir("tear");
+    let root = TempDir::new("repl-crash-tear");
     let (node, catalog) = primary(&root, u64::MAX);
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     drive(
@@ -138,7 +130,6 @@ fn shipment_truncated_at_every_byte_offset_fails_typed_and_applies_nothing() {
     follower.apply_shipment(&ship).unwrap();
     assert_eq!(follower.applied_lsn(), ship.end());
     assert_eq!(follower.len(), node.len());
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 proptest! {
@@ -151,7 +142,7 @@ proptest! {
         ops in prop::collection::vec((0u8..8, 0i64..1_000), 3..20),
         flip_seed in 0usize..1_000_000
     ) {
-        let root = fresh_dir("flip");
+        let root = TempDir::new("repl-crash-flip");
         let (node, catalog) = primary(&root, u64::MAX);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         drive(&node, &ops);
@@ -181,7 +172,6 @@ proptest! {
             follower.apply_shipment(&ship).unwrap();
             prop_assert_eq!(follower.len(), node.len());
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Kill a follower mid-catch-up — its mirror cut at an arbitrary
@@ -195,7 +185,7 @@ proptest! {
         step_bytes in 48usize..256,
         cut_seed in 0usize..1_000_000
     ) {
-        let root = fresh_dir("kill");
+        let root = TempDir::new("repl-crash-kill");
         let (node, catalog) = primary(&root, 160);
         let publisher = SegmentPublisher::new(Arc::clone(&node));
         drive(&node, &ops);
@@ -253,6 +243,5 @@ proptest! {
         let oracle = oracle_at(&catalog, &root, report.applied_lsn);
         assert_matches_oracle(&back, &oracle, "post-drain");
         prop_assert_eq!(back.len(), node.len());
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -121,15 +121,9 @@ impl SnapshotCatalog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pitract_core::tempdir::TempDir;
     use pitract_relation::indexed::IndexedRelation;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("pitract-catalog-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn small_indexed(n: i64) -> IndexedRelation {
         let schema = Schema::new(&[("id", ColType::Int)]);
@@ -140,7 +134,7 @@ mod tests {
 
     #[test]
     fn save_list_load_remove_workflow() {
-        let dir = fresh_dir("workflow");
+        let dir = TempDir::new("catalog-workflow");
         let catalog = SnapshotCatalog::open(&dir).unwrap();
         assert!(catalog.list().unwrap().is_empty());
 
@@ -165,12 +159,11 @@ mod tests {
         catalog.remove("alpha").unwrap();
         assert_eq!(catalog.list().unwrap(), vec!["beta.v2"]);
         assert!(matches!(catalog.load("alpha"), Err(StoreError::Io(_)),));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn save_overwrites_atomically() {
-        let dir = fresh_dir("overwrite");
+        let dir = TempDir::new("catalog-overwrite");
         let catalog = SnapshotCatalog::open(&dir).unwrap();
         catalog
             .save("rel", &Snapshot::Indexed(small_indexed(5)))
@@ -194,12 +187,11 @@ mod tests {
             })
             .collect();
         assert!(stray.is_empty(), "{stray:?}");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn traversal_and_hidden_names_are_rejected() {
-        let dir = fresh_dir("names");
+        let dir = TempDir::new("catalog-names");
         let catalog = SnapshotCatalog::open(&dir).unwrap();
         let snap = Snapshot::Indexed(small_indexed(1));
         for bad in ["", "../escape", "a/b", "a\\b", ".hidden", "..", "nul\0"] {
@@ -211,12 +203,11 @@ mod tests {
         for good in ["a", "big-rel_v2.1", "UPPER", "0"] {
             assert!(catalog.save(good, &snap).is_ok(), "{good:?} rejected");
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn list_ignores_foreign_files() {
-        let dir = fresh_dir("foreign");
+        let dir = TempDir::new("catalog-foreign");
         let catalog = SnapshotCatalog::open(&dir).unwrap();
         catalog
             .save("real", &Snapshot::Indexed(small_indexed(3)))
@@ -228,6 +219,5 @@ mod tests {
         std::fs::write(dir.join(".hidden.snap"), b"foreign").unwrap();
         std::fs::write(dir.join("bad name.snap"), b"foreign").unwrap();
         assert_eq!(catalog.list().unwrap(), vec!["real"]);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

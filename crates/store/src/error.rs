@@ -41,6 +41,10 @@ pub enum StoreError {
     Corrupt(String),
     /// The header declares a structure kind this binary does not know.
     UnknownKind(u16),
+    /// The header declares a structure kind that has been retired: code
+    /// 4, the persisted in-memory update log, which the write-ahead log
+    /// replaced. Such a file has nothing a current node can recover from.
+    RetiredKind(u16),
     /// The snapshot holds a different structure than the caller asked
     /// for.
     WrongKind {
@@ -78,6 +82,11 @@ impl fmt::Display for StoreError {
             StoreError::Truncated => write!(f, "snapshot data ended unexpectedly"),
             StoreError::Corrupt(why) => write!(f, "corrupt snapshot: {why}"),
             StoreError::UnknownKind(k) => write!(f, "unknown snapshot structure kind {k}"),
+            StoreError::RetiredKind(k) => write!(
+                f,
+                "snapshot structure kind {k} (persisted update log) is retired: \
+                 a node's updates live in its write-ahead log"
+            ),
             StoreError::WrongKind { expected, found } => {
                 write!(f, "snapshot holds a {found}, expected a {expected}")
             }
@@ -138,6 +147,7 @@ mod tests {
             StoreError::Truncated,
             StoreError::Corrupt("bad value tag 9".into()),
             StoreError::UnknownKind(99),
+            StoreError::RetiredKind(4),
             StoreError::WrongKind {
                 expected: SnapshotKind::IndexedRelation,
                 found: SnapshotKind::HopLabels,

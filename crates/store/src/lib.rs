@@ -21,12 +21,10 @@
 //!   never a panic or an unbounded allocation.
 //! * [`catalog::SnapshotCatalog`] — named snapshots in a directory with
 //!   atomic (temp-file + rename) replacement: list, save, load, remove.
-//! * [`live::LiveCheckpoint`] — checkpoint/recover for the live serving
-//!   tier: `checkpoint` freezes a [`pitract_engine::LiveRelation`] into
-//!   the catalog (with the cut's MVCC epoch) and truncates its update
-//!   log; `recover` loads the snapshot and replays the log, reproducing
-//!   the live state bit-identically (answers and global row ids) and
-//!   resuming the epoch clock, summarized in a typed [`live::Recovered`].
+//! * [`Snapshot::Checkpoint`] — a live node's frozen state together
+//!   with its write-ahead-log mark and cut epoch, in one atomic file.
+//!   `pitract-wal` writes it and rebuilds nodes from it plus the WAL
+//!   tail; that is the only recovery path for the live tier.
 //!
 //! The correctness contract, enforced by unit, integration, and property
 //! tests: for every persisted structure, `load(save(x))` answers every
@@ -48,14 +46,13 @@
 //! let indexed = IndexedRelation::build(&relation, &[0]).unwrap();
 //!
 //! // …persisted…
-//! let dir = std::env::temp_dir().join(format!("pitract-doc-{}", std::process::id()));
-//! let catalog = SnapshotCatalog::open(&dir).unwrap();
+//! let dir = pitract_core::tempdir::TempDir::new("store-doc");
+//! let catalog = SnapshotCatalog::open(dir.path()).unwrap();
 //! catalog.save("ids", &Snapshot::Indexed(indexed)).unwrap();
 //!
 //! // …and warm-started by a fresh engine, no rebuild.
 //! let served = catalog.load("ids").unwrap().into_indexed().unwrap();
 //! assert!(served.answer(&SelectionQuery::point(0, 999i64)));
-//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -70,10 +67,8 @@
 pub mod catalog;
 pub mod codec;
 pub mod error;
-pub mod live;
 pub mod snapshot;
 
 pub use catalog::SnapshotCatalog;
 pub use error::StoreError;
-pub use live::{LiveCheckpoint, Recovered};
 pub use snapshot::{fsync_dir, write_atomic, Snapshot, SnapshotKind, FORMAT_VERSION, MAGIC};

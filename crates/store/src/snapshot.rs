@@ -23,8 +23,12 @@
 //! | `IndexedRelation` | schema (1), row slots incl. tombstones (2), per-column index postings (3) |
 //! | `ShardedRelation` | schema (1), shard_by (4), per-shard bodies (5), global-id maps (6), locations (7) |
 //! | `HopLabels` | `L_out` (8), `L_in` (9), hub ranks (10) |
-//! | `UpdateLog` | logged insert/delete entries (11) |
 //! | `LiveCheckpoint` | the `ShardedRelation` sections, WAL mark (12), cut epoch (13) |
+//!
+//! Kind codes are 1 `IndexedRelation`, 2 `ShardedRelation`, 3
+//! `HopLabels` and 5 `LiveCheckpoint`. Kind code 4 and section tag 11
+//! belong to a retired update-log kind and are never reused; a file of
+//! kind 4 fails typed with [`StoreError::RetiredKind`].
 //!
 //! Readers locate sections by tag, so a future version may append new
 //! sections without breaking old payload parsing — the cut-epoch
@@ -42,7 +46,7 @@ use crate::codec::{Reader, Writer};
 use crate::error::StoreError;
 use pitract_core::epoch::Epoch;
 use pitract_core::hash::fnv1a64;
-use pitract_engine::{ShardBy, ShardedRelation, UpdateEntry, UpdateLog};
+use pitract_engine::{ShardBy, ShardedRelation};
 use pitract_graph::hop::HopLabels;
 use pitract_relation::indexed::{IndexEntries, IndexedRelation};
 use pitract_relation::{Schema, Value};
@@ -65,7 +69,7 @@ const SEC_LOCATIONS: u32 = 7;
 const SEC_LOUT: u32 = 8;
 const SEC_LIN: u32 = 9;
 const SEC_RANK: u32 = 10;
-const SEC_LOG: u32 = 11;
+// Tag 11 is reserved (the retired update-log kind).
 const SEC_WAL_MARK: u32 = 12;
 const SEC_EPOCH: u32 = 13;
 
@@ -78,10 +82,6 @@ pub enum SnapshotKind {
     ShardedRelation,
     /// [`pitract_graph::hop::HopLabels`].
     HopLabels,
-    /// A [`pitract_engine::UpdateLog`] — the updates applied to a live
-    /// relation since its last checkpoint, persisted so recovery can
-    /// replay them onto the checkpoint snapshot.
-    UpdateLog,
     /// A live checkpoint: a [`pitract_engine::ShardedRelation`] state
     /// *plus* the write-ahead-log position it covers, persisted as one
     /// atomic file so the state and its WAL mark can never be observed
@@ -90,13 +90,16 @@ pub enum SnapshotKind {
     LiveCheckpoint,
 }
 
+/// The kind code of the retired update-log snapshot (see the module
+/// docs): reserved, and rejected typed on load.
+const RETIRED_UPDATE_LOG: u16 = 4;
+
 impl SnapshotKind {
     fn code(self) -> u16 {
         match self {
             SnapshotKind::IndexedRelation => 1,
             SnapshotKind::ShardedRelation => 2,
             SnapshotKind::HopLabels => 3,
-            SnapshotKind::UpdateLog => 4,
             SnapshotKind::LiveCheckpoint => 5,
         }
     }
@@ -106,7 +109,7 @@ impl SnapshotKind {
             1 => Ok(SnapshotKind::IndexedRelation),
             2 => Ok(SnapshotKind::ShardedRelation),
             3 => Ok(SnapshotKind::HopLabels),
-            4 => Ok(SnapshotKind::UpdateLog),
+            RETIRED_UPDATE_LOG => Err(StoreError::RetiredKind(code)),
             5 => Ok(SnapshotKind::LiveCheckpoint),
             other => Err(StoreError::UnknownKind(other)),
         }
@@ -119,7 +122,6 @@ impl fmt::Display for SnapshotKind {
             SnapshotKind::IndexedRelation => write!(f, "IndexedRelation"),
             SnapshotKind::ShardedRelation => write!(f, "ShardedRelation"),
             SnapshotKind::HopLabels => write!(f, "HopLabels"),
-            SnapshotKind::UpdateLog => write!(f, "UpdateLog"),
             SnapshotKind::LiveCheckpoint => write!(f, "LiveCheckpoint"),
         }
     }
@@ -134,8 +136,6 @@ pub enum Snapshot {
     Sharded(ShardedRelation),
     /// Pruned 2-hop reachability labels.
     Hop(HopLabels),
-    /// A live relation's replayable update log.
-    Log(UpdateLog),
     /// A live checkpoint: a frozen sharded state together with the WAL
     /// position it covers — `wal_lsn` is the log sequence number of the
     /// first record *not* contained in `state`, i.e. where recovery must
@@ -171,12 +171,6 @@ impl From<HopLabels> for Snapshot {
     }
 }
 
-impl From<UpdateLog> for Snapshot {
-    fn from(log: UpdateLog) -> Self {
-        Snapshot::Log(log)
-    }
-}
-
 impl Snapshot {
     /// Which structure this snapshot holds.
     pub fn kind(&self) -> SnapshotKind {
@@ -184,7 +178,6 @@ impl Snapshot {
             Snapshot::Indexed(_) => SnapshotKind::IndexedRelation,
             Snapshot::Sharded(_) => SnapshotKind::ShardedRelation,
             Snapshot::Hop(_) => SnapshotKind::HopLabels,
-            Snapshot::Log(_) => SnapshotKind::UpdateLog,
             Snapshot::Checkpoint { .. } => SnapshotKind::LiveCheckpoint,
         }
     }
@@ -222,17 +215,6 @@ impl Snapshot {
         }
     }
 
-    /// Unwrap an [`UpdateLog`], or report the kind actually stored.
-    pub fn into_log(self) -> Result<UpdateLog, StoreError> {
-        match self {
-            Snapshot::Log(log) => Ok(log),
-            other => Err(StoreError::WrongKind {
-                expected: SnapshotKind::UpdateLog,
-                found: other.kind(),
-            }),
-        }
-    }
-
     /// Unwrap a live checkpoint into `(state, wal_lsn, epoch)`, or
     /// report the kind actually stored.
     pub fn into_checkpoint(self) -> Result<(ShardedRelation, u64, Epoch), StoreError> {
@@ -256,7 +238,6 @@ impl Snapshot {
             Snapshot::Indexed(ir) => encode_indexed_sections(ir),
             Snapshot::Sharded(sr) => encode_sharded_sections(sr),
             Snapshot::Hop(h) => encode_hop_sections(h),
-            Snapshot::Log(log) => encode_log_sections(log),
             Snapshot::Checkpoint {
                 state,
                 wal_lsn,
@@ -390,21 +371,6 @@ impl Snapshot {
                 HopLabels::from_parts(lout, lin, rank)
                     .map(Snapshot::Hop)
                     .map_err(|e| StoreError::Corrupt(e.to_string()))
-            }
-            SnapshotKind::UpdateLog => {
-                let entries = finish(section(SEC_LOG)?, read_log_entries)?;
-                // Logs written before epochs existed carry no end-epoch
-                // section; their end defaults to the entry count (a
-                // fresh-history log).
-                Ok(Snapshot::Log(
-                    match located.iter().find(|(t, _)| *t == SEC_EPOCH) {
-                        Some((_, s)) => UpdateLog::from_entries_ending(
-                            entries,
-                            Epoch::new(finish(Reader::new(s), Reader::u64)?),
-                        ),
-                        None => UpdateLog::from_entries(entries),
-                    },
-                ))
             }
         }
     }
@@ -727,22 +693,6 @@ fn read_label_lists(r: &mut Reader<'_>) -> Result<Vec<Vec<u32>>, StoreError> {
     (0..n).map(|_| r.u32_seq()).collect()
 }
 
-fn encode_log_sections(log: &UpdateLog) -> Vec<(u32, Vec<u8>)> {
-    let mut w = Writer::new();
-    w.usize(log.len());
-    for entry in log.entries() {
-        w.update_entry(entry);
-    }
-    let mut end = Writer::new();
-    end.u64(log.end_epoch().get());
-    vec![(SEC_LOG, w.into_bytes()), (SEC_EPOCH, end.into_bytes())]
-}
-
-fn read_log_entries(r: &mut Reader<'_>) -> Result<Vec<UpdateEntry>, StoreError> {
-    let n = r.count(2)?;
-    (0..n).map(|_| r.update_entry()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -977,6 +927,37 @@ mod tests {
         assert!(Snapshot::from_bytes(&good).is_ok());
     }
 
+    /// A catalog entry of the retired update-log kind — laid out exactly
+    /// as that kind was written: code 4, one entry-list section (tag
+    /// 11) — loads as a typed error, not as a log to replay.
+    #[test]
+    fn retired_update_log_kind_loads_as_a_typed_error() {
+        let mut entries = Writer::new();
+        entries.usize(0);
+        let payload = entries.into_bytes();
+        let mut w = Writer::new();
+        w.raw(&MAGIC);
+        w.u16(FORMAT_VERSION);
+        w.u16(RETIRED_UPDATE_LOG);
+        w.u32(1);
+        w.u32(11);
+        w.u64(payload.len() as u64);
+        w.raw(&payload);
+        let mut bytes = w.into_bytes();
+        let sum = fnv1a64(&bytes);
+        bytes.extend_from_slice(&sum.to_le_bytes());
+
+        let dir = pitract_core::tempdir::TempDir::new("snap-retired");
+        let catalog = crate::SnapshotCatalog::open(dir.path()).unwrap();
+        std::fs::write(dir.join("log.snap"), &bytes).unwrap();
+        assert_eq!(catalog.list().unwrap(), vec!["log".to_string()]);
+        let err = catalog.load("log").unwrap_err();
+        assert!(matches!(err, StoreError::RetiredKind(4)), "{err}");
+        assert!(err.to_string().contains("write-ahead log"), "{err}");
+        let err = catalog.kind_of("log").unwrap_err();
+        assert!(matches!(err, StoreError::RetiredKind(4)), "{err}");
+    }
+
     #[test]
     fn wrong_kind_unwraps_are_typed() {
         let ir = IndexedRelation::build(&relation(5), &[0]).unwrap();
@@ -993,8 +974,7 @@ mod tests {
 
     #[test]
     fn save_and_load_via_files() {
-        let dir = std::env::temp_dir().join(format!("pitract-snap-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = pitract_core::tempdir::TempDir::new("snap-files");
         let path = dir.join("rel.snap");
         let ir = IndexedRelation::build(&relation(30), &[0]).unwrap();
         Snapshot::Indexed(ir).save(&path).unwrap();
@@ -1005,7 +985,6 @@ mod tests {
             .filter_map(|e| e.ok())
             .any(|e| e.path().extension().is_some_and(|x| x == "tmp"));
         assert!(!stray_tmp, "temp file cleaned up by rename");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -308,14 +308,9 @@ mod tests {
     use super::*;
     use crate::reader::WalReader;
     use crate::writer::{SyncPolicy, WalConfig, WalWriter};
+    use pitract_core::tempdir::TempDir;
     use pitract_relation::Value;
     use std::path::PathBuf;
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-walc-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn tiny_wal(dir: &Path) -> WalWriter {
         WalWriter::open(
@@ -337,7 +332,7 @@ mod tests {
 
     #[test]
     fn drops_covered_records_and_cancelled_pairs_but_keeps_the_rest() {
-        let dir = fresh_dir("rules");
+        let dir = TempDir::new("walc-rules");
         // One roomy segment, closed at the end: the pair's halves share
         // it, so cancellation is in play.
         let wal = WalWriter::open(
@@ -384,12 +379,11 @@ mod tests {
         drop(wal);
         let wal = tiny_wal(&dir);
         assert_eq!(wal.next_lsn(), 8);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn cross_segment_pairs_survive_for_crash_atomicity() {
-        let dir = fresh_dir("crossseg");
+        let dir = TempDir::new("walc-crossseg");
         let wal = tiny_wal(&dir);
         // Insert in one segment, delete it two rotations later. Dropping
         // the pair would touch two files, and the pass is only atomic
@@ -423,12 +417,11 @@ mod tests {
         // Once a checkpoint covers the pair, it goes (per-segment-safe).
         Compactor::new(5).compact_dir(&dir).unwrap();
         assert!(WalReader::open(&dir).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn trailing_pair_is_kept_as_the_allocator_watermark() {
-        let dir = fresh_dir("watermark");
+        let dir = TempDir::new("walc-watermark");
         let wal = WalWriter::open(
             &dir,
             WalConfig {
@@ -465,12 +458,11 @@ mod tests {
             vec![insert(10)],
             "active insert carries the watermark"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn active_segment_and_its_pairs_are_left_alone() {
-        let dir = fresh_dir("active");
+        let dir = TempDir::new("walc-active");
         let wal = tiny_wal(&dir);
         wal.append_entry(&insert(7)).unwrap();
         wal.rotate_now().unwrap();
@@ -480,12 +472,11 @@ mod tests {
         Compactor::new(0).compact_dir(&dir).unwrap();
         let reader = WalReader::open(&dir).unwrap();
         assert_eq!(reader.len(), 2, "nothing was dropped");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn fully_covered_segments_are_removed() {
-        let dir = fresh_dir("removed");
+        let dir = TempDir::new("walc-removed");
         let wal = tiny_wal(&dir);
         for gid in 0..20 {
             wal.append_entry(&insert(gid)).unwrap();
@@ -498,12 +489,11 @@ mod tests {
         let reader = WalReader::open(&dir).unwrap();
         assert!(reader.is_empty());
         assert_eq!(reader.next_lsn(), 20, "the active segment keeps the base");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn retention_watermark_shields_segments_a_follower_still_needs() {
-        let dir = fresh_dir("retention");
+        let dir = TempDir::new("walc-retention");
         let wal = tiny_wal(&dir);
         for gid in 0..12 {
             wal.append_entry(&insert(gid)).unwrap();
@@ -562,12 +552,11 @@ mod tests {
         // drops the rest.
         Compactor::new(12).compact_dir(&dir).unwrap();
         assert!(WalReader::open(&dir).unwrap().is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn compaction_is_idempotent() {
-        let dir = fresh_dir("idem");
+        let dir = TempDir::new("walc-idem");
         let wal = tiny_wal(&dir);
         for gid in 0..10 {
             wal.append_entry(&insert(gid)).unwrap();
@@ -583,6 +572,5 @@ mod tests {
         assert_eq!(after_first, after_second);
         assert_eq!(second.records_before, first.records_after);
         assert_eq!(second.segments_rewritten, 0, "second pass rewrites nothing");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -3,36 +3,29 @@
 //!
 //! [`DurableLiveRelation`] wires a [`WalWriter`] into the engine's
 //! [`WalSink`] hook: each insert/delete is staged to the WAL **inside
-//! the global-id critical section** (so WAL order ≡ log order ≡ gid
+//! the global-id critical section** (so WAL order ≡ gid order ≡ epoch
 //! order, even under racing writers) and committed durable after the
 //! locks drop (so fsyncs batch across writers instead of stalling the
-//! shard). The companion checkpoint persists the frozen state *and* the
-//! WAL position it covers as one atomic [`Snapshot::Checkpoint`] file —
-//! there is no instant at which a crash can observe a state without its
-//! mark, which is the classic lost-update window of two-file schemes.
+//! shard). The WAL is the node's only log: the engine keeps no
+//! in-memory copy of the updates. The companion checkpoint persists the
+//! frozen state *and* the WAL position it covers as one atomic
+//! [`Snapshot::Checkpoint`] file — there is no instant at which a crash
+//! can observe a state without its mark, which is the classic
+//! lost-update window of two-file schemes.
 //!
-//! # The LSN ↔ log-position ↔ epoch dictionary
+//! # One offset between epoch and LSN
 //!
-//! The engine's in-memory [`pitract_engine::UpdateLog`] counts absolute
-//! positions from the moment the relation was wrapped; the WAL counts
-//! LSNs from the beginning of (durable) time; the MVCC epoch clock
-//! counts applied updates from the relation's birth. Because the sink
-//! appends exactly one WAL record per logged entry and every applied
-//! update ticks the epoch once, all three advance in lockstep:
-//! `lsn = wal_base + position` and `epoch = epoch_base + position`,
-//! where both bases are fixed at wrap time. A freeze's cut epoch
-//! therefore translates directly into the checkpoint's WAL mark
-//! ([`DurableLiveRelation::lsn_of_epoch`]), and recovery inverts the
-//! mapping: load the checkpoint, replay the WAL tail at-or-after the
-//! mark (compacted, so replay work is bounded by net change), resume
-//! appending at the recovered LSN, and advance the epoch clock to the
-//! cut epoch plus one tick per tail record — so the recovered node
-//! stamps its next update with the same epoch the crashed node would
-//! have ([`DurableLiveRelation::recovery_summary`]).
+//! Every logged update takes one LSN and one epoch tick, so the
+//! bootstrap checkpoint fixes `epoch − lsn = cut − mark` for the node's
+//! life ([`EpochLsn`]): a freeze's cut epoch is the checkpoint's WAL mark
+//! ([`DurableLiveRelation::lsn_of_epoch`]), and [`restore`] resumes the
+//! clock at the epoch of the next LSN, however much of the tail
+//! compaction dropped ([`DurableLiveRelation::recovery_summary`]).
 
 use crate::compactor::{CompactionReport, Compactor};
 use crate::error::WalError;
 use crate::reader::WalReader;
+use crate::restore::{restore, EpochLsn, Recovered};
 use crate::writer::{WalConfig, WalWriter};
 use pitract_core::epoch::Epoch;
 use pitract_engine::batch::WorkerResults;
@@ -40,7 +33,7 @@ use pitract_engine::planner::QueryPlan;
 use pitract_engine::{BatchServe, EngineError, LiveRelation, UpdateEntry, WalSink};
 use pitract_obs::Recorder;
 use pitract_relation::SelectionQuery;
-use pitract_store::{Recovered, Snapshot, SnapshotCatalog};
+use pitract_store::{Snapshot, SnapshotCatalog};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -87,11 +80,8 @@ impl WalSink for WalWriterSink {
 pub struct DurableLiveRelation {
     live: LiveRelation,
     wal: Arc<WalWriter>,
-    /// WAL LSN corresponding to the live relation's log position 0.
-    wal_base: u64,
-    /// Epoch-clock value at the live relation's log position 0 — the
-    /// other half of the epoch ↔ LSN dictionary.
-    epoch_base: u64,
+    /// The epoch ↔ LSN rule, fixed by the bootstrap checkpoint.
+    clock: EpochLsn,
     /// The latest durably confirmed checkpoint mark (what compaction may
     /// drop below).
     last_mark: AtomicU64,
@@ -156,13 +146,11 @@ impl DurableLiveRelation {
                 epoch: frozen.epoch,
             },
         )?;
-        live.confirm_checkpoint(frozen.covered);
         live.set_wal_sink(Some(Arc::new(WalWriterSink::new(wal.clone()))));
         Ok(DurableLiveRelation {
             live,
             wal,
-            wal_base: mark,
-            epoch_base: frozen.epoch.get(),
+            clock: EpochLsn::at_checkpoint(mark, frozen.epoch),
             last_mark: AtomicU64::new(mark),
             recovered: None,
         })
@@ -205,41 +193,13 @@ impl DurableLiveRelation {
         let (wal, scan) = WalWriter::open_scanned_observed(&wal_dir, config, mark, recorder)?;
         let wal = Arc::new(wal);
         let reader = WalReader::from_scan_observed(&scan, recorder)?;
-        let mut live = LiveRelation::from_sharded(state);
-        live.set_recorder(recorder);
-        let tail = reader.tail_log(mark);
-        let compacted = tail.compact();
-        live.replay_compacted(&compacted)?;
-        // Trailing cancelled pairs leave no entry to carry their ids;
-        // burn up to the uncompacted tail's watermark so future inserts
-        // get the same gids the crashed node would have assigned.
-        if let Some(watermark) = tail.next_gid_watermark() {
-            live.burn_gids_to(watermark);
-        }
-        // Replay logged `compacted.len()` entries at positions 0..len,
-        // whose WAL records all sit below next_lsn — so position len
-        // maps to the next fresh LSN, pinning the dictionary.
-        let wal_base = wal.next_lsn() - compacted.len() as u64;
-        // The epoch clock ticked once per *tail record* on the crashed
-        // node, while the compacted replay ticked it only
-        // `compacted.len()` times — advance the difference so the next
-        // update is stamped with the same epoch the crashed node would
-        // have used. (A compacted WAL undercounts dropped churn; the
-        // clock stays consistent with this node's own dictionary.)
-        let epoch_end = Epoch::new(cut.get() + tail.len() as u64);
-        live.advance_epoch_to(epoch_end);
-        let epoch_base = epoch_end.get() - compacted.len() as u64;
+        let (mut live, recovered) = restore(state, mark, cut, &reader, recorder)?;
+        debug_assert_eq!(recovered.lsn, wal.next_lsn());
         live.set_wal_sink(Some(Arc::new(WalWriterSink::new(wal.clone()))));
-        let recovered = Recovered {
-            epoch: epoch_end,
-            lsn: Some(wal.next_lsn()),
-            replayed: compacted.len(),
-        };
         Ok(DurableLiveRelation {
             live,
             wal,
-            wal_base,
-            epoch_base,
+            clock: recovered.clock,
             last_mark: AtomicU64::new(mark),
             recovered: Some(recovered),
         })
@@ -267,35 +227,29 @@ impl DurableLiveRelation {
         self.recovered
     }
 
-    /// LSN of the first WAL record *not* covered by `epoch`: the
-    /// epoch ↔ LSN dictionary. Meaningful for epochs at or after this
-    /// node's wrap/recovery point (`epoch_base`); earlier epochs clamp
-    /// to the WAL base.
+    /// LSN of the first WAL record *not* covered by `epoch`, by the
+    /// node's checkpoint-fixed [`EpochLsn`] rule.
     pub fn lsn_of_epoch(&self, epoch: Epoch) -> u64 {
-        self.wal_base + epoch.get().saturating_sub(self.epoch_base)
+        self.clock.lsn_of_epoch(epoch)
     }
 
     /// The epoch whose state covers exactly the WAL records below
-    /// `lsn` — the inverse of [`Self::lsn_of_epoch`]. LSNs below the WAL
-    /// base clamp to the base epoch.
+    /// `lsn` — the inverse of [`Self::lsn_of_epoch`].
     pub fn epoch_of_lsn(&self, lsn: u64) -> Epoch {
-        Epoch::new(self.epoch_base + lsn.saturating_sub(self.wal_base))
+        self.clock.epoch_of_lsn(lsn)
     }
 
-    /// Checkpoint: freeze the live state, persist it with its WAL mark
-    /// as one atomic snapshot, then truncate the in-memory log. After
-    /// this returns, [`Self::compact_wal`] may drop every WAL record
-    /// below the new mark.
+    /// Checkpoint: freeze the live state and persist it with its WAL
+    /// mark as one atomic snapshot. After this returns,
+    /// [`Self::compact_wal`] may drop every WAL record below the new
+    /// mark.
     pub fn checkpoint(&self, catalog: &SnapshotCatalog, name: &str) -> Result<PathBuf, WalError> {
         // Make sure everything the snapshot will contain is also durable
         // in the log *before* the snapshot supersedes it — an unsynced
         // suffix must never be the only copy of a confirmed update.
         self.wal.sync()?;
         let frozen = self.live.freeze();
-        // Both halves of the dictionary name the same cut: the covered
-        // log position and the cut epoch map to one WAL mark.
-        let mark = self.wal_base + frozen.covered as u64;
-        debug_assert_eq!(mark, self.lsn_of_epoch(frozen.epoch));
+        let mark = self.lsn_of_epoch(frozen.epoch);
         let path = catalog.save(
             name,
             &Snapshot::Checkpoint {
@@ -304,7 +258,6 @@ impl DurableLiveRelation {
                 epoch: frozen.epoch,
             },
         )?;
-        self.live.confirm_checkpoint(frozen.covered);
         self.last_mark.fetch_max(mark, Ordering::SeqCst);
         Ok(path)
     }
@@ -392,15 +345,10 @@ impl BatchServe for DurableLiveRelation {
 mod tests {
     use super::*;
     use crate::writer::SyncPolicy;
+    use pitract_core::tempdir::TempDir;
     use pitract_engine::ShardBy;
     use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-    use std::path::PathBuf;
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-wald-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
+    use pitract_store::StoreError;
 
     fn schema() -> Schema {
         Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)])
@@ -421,9 +369,198 @@ mod tests {
         }
     }
 
+    /// State-focused tests run the WAL without fsyncs: what they check
+    /// is the rebuilt state, not durability.
+    fn unsynced() -> WalConfig {
+        WalConfig {
+            segment_bytes: 1 << 20,
+            sync: SyncPolicy::Never,
+        }
+    }
+
+    fn durable(root: &TempDir, catalog: &SnapshotCatalog, n: i64) -> DurableLiveRelation {
+        DurableLiveRelation::create(live(n), catalog, "node", root.join("wal"), unsynced()).unwrap()
+    }
+
+    fn recover(root: &TempDir, catalog: &SnapshotCatalog, name: &str) -> DurableLiveRelation {
+        DurableLiveRelation::recover(catalog, name, root.join("wal"), unsynced()).unwrap()
+    }
+
+    /// Checkpoint, keep writing, crash, recover: the rebuilt node is
+    /// bit-identical — rows under every gid, answers, and the epoch
+    /// clock — and replays exactly the post-checkpoint tail.
+    #[test]
+    fn checkpoint_then_recover_is_bit_identical() {
+        let root = TempDir::new("wald-ckpt-roundtrip");
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let node = durable(&root, &catalog, 60);
+        node.delete(10).unwrap().unwrap();
+        node.insert(vec![Value::Int(600), Value::str("pre")])
+            .unwrap();
+        node.checkpoint(&catalog, "node").unwrap();
+        assert_eq!(node.checkpoint_mark(), 2);
+
+        // Post-checkpoint traffic, covered only by the WAL tail.
+        node.insert(vec![Value::Int(601), Value::str("post")])
+            .unwrap();
+        node.delete(20).unwrap().unwrap();
+        let epoch = node.current_epoch();
+        let rows: Vec<Option<Vec<Value>>> = (0..62).map(|gid| node.row(gid)).collect();
+        let queries = [
+            SelectionQuery::point(0, 600i64),
+            SelectionQuery::point(0, 601i64),
+            SelectionQuery::point(0, 20i64),
+            SelectionQuery::range_closed(0, 0i64, 700i64),
+        ];
+        let answers: Vec<Vec<usize>> = queries.iter().map(|q| node.matching_ids(q)).collect();
+        drop(node);
+
+        let recovered = recover(&root, &catalog, "node");
+        let summary = recovered.recovery_summary().unwrap();
+        assert_eq!(summary.epoch, epoch, "the clock resumes where it stood");
+        assert_eq!(recovered.current_epoch(), epoch);
+        assert_eq!(summary.lsn, 4, "the WAL resumes after the last record");
+        assert_eq!(summary.replayed, 2);
+        for (gid, expect) in rows.iter().enumerate() {
+            assert_eq!(&recovered.row(gid), expect, "gid {gid}");
+        }
+        for (q, expect) in queries.iter().zip(&answers) {
+            assert_eq!(&recovered.matching_ids(q), expect, "{q:?}");
+        }
+    }
+
+    /// A WAL recorded against some other history fails recovery typed
+    /// instead of silently diverging.
+    #[test]
+    fn recovery_from_a_foreign_history_fails_typed() {
+        let root = TempDir::new("wald-foreign");
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        drop(durable(&root, &catalog, 10));
+        // A second node with 50 rows writes its own WAL history.
+        let other = TempDir::new("wald-foreign-other");
+        let other_catalog = SnapshotCatalog::open(other.join("snaps")).unwrap();
+        let node = durable(&other, &other_catalog, 50);
+        node.delete(40).unwrap().unwrap();
+        drop(node);
+        // The 10-row checkpoint has no gid 40 to delete.
+        let err = DurableLiveRelation::recover(&catalog, "node", other.join("wal"), unsynced())
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                WalError::Engine(EngineError::ReplayMissingRow { gid: 40 })
+            ),
+            "{err}"
+        );
+    }
+
+    /// Recovery replays the compacted tail: 30 insert+delete pairs are
+    /// never re-applied, yet the node is bit-identical on answers, row
+    /// ids and the epoch clock.
+    #[test]
+    fn recovery_replays_only_the_net_change() {
+        let root = TempDir::new("wald-netchange");
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let node = durable(&root, &catalog, 20);
+        for i in 0..30i64 {
+            let gid = node
+                .insert(vec![Value::Int(900 + i), Value::str("churn")])
+                .unwrap();
+            node.delete(gid).unwrap().unwrap();
+        }
+        node.insert(vec![Value::Int(777), Value::str("kept")])
+            .unwrap();
+        node.delete(5).unwrap().unwrap();
+        let epoch = node.current_epoch();
+        assert_eq!(epoch, Epoch::new(62));
+        let rows: Vec<Option<Vec<Value>>> = (0..55).map(|gid| node.row(gid)).collect();
+        drop(node);
+
+        let recovered = recover(&root, &catalog, "node");
+        assert_eq!(recovered.recovery_summary().unwrap().replayed, 2);
+        assert_eq!(
+            recovered.boundedness_report().len(),
+            2,
+            "only the net change was replayed"
+        );
+        assert_eq!(
+            recovered.current_epoch(),
+            epoch,
+            "churn still ticked the clock"
+        );
+        for (gid, expect) in rows.iter().enumerate() {
+            assert_eq!(&recovered.row(gid), expect, "gid {gid}");
+        }
+        assert!(recovered.answer(&SelectionQuery::point(0, 777i64)));
+        assert!(!recovered.answer(&SelectionQuery::point(1, "churn")));
+        // The allocator resumes past the cancelled ids too.
+        assert_eq!(
+            recovered
+                .insert(vec![Value::Int(1), Value::str("next")])
+                .unwrap(),
+            51
+        );
+    }
+
+    /// A checkpoint that fails to save changes nothing: the mark stays,
+    /// and recovery from the previous checkpoint still finds every
+    /// update in the WAL.
+    #[test]
+    fn failed_checkpoint_keeps_the_state_recoverable() {
+        let root = TempDir::new("wald-failsave");
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let node = durable(&root, &catalog, 5);
+        node.insert(vec![Value::Int(50), Value::str("kept")])
+            .unwrap();
+        let err = node.checkpoint(&catalog, "../escape").unwrap_err();
+        assert!(
+            matches!(err, WalError::Store(StoreError::InvalidName(_))),
+            "{err}"
+        );
+        assert_eq!(node.checkpoint_mark(), 0, "the mark did not move");
+        // Compaction against the unmoved mark keeps the insert too.
+        node.wal().rotate_now().unwrap();
+        node.compact_wal().unwrap();
+        drop(node);
+        let recovered = recover(&root, &catalog, "node");
+        assert_eq!(recovered.len(), 6);
+        assert!(recovered.answer(&SelectionQuery::point(0, 50i64)));
+    }
+
+    /// The WAL is a durable node's only log: neither single updates nor
+    /// `apply_batch` leave an in-memory copy behind, before or after a
+    /// recovery.
+    #[test]
+    fn a_durable_node_keeps_no_in_memory_log() {
+        use pitract_engine::UpdateOp;
+        let root = TempDir::new("wald-onelog");
+        let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
+        let node = durable(&root, &catalog, 10);
+        for b in 0..20i64 {
+            node.apply_batch(
+                (0..8i64).map(|i| {
+                    UpdateOp::Insert(vec![Value::Int(1_000 + b * 8 + i), Value::str("b")])
+                }),
+            )
+            .unwrap();
+        }
+        node.delete(3).unwrap().unwrap();
+        assert_eq!(node.wal().next_lsn(), 161);
+        assert_eq!(node.pending_log().len(), 0, "the WAL holds every update");
+        drop(node);
+        let recovered = recover(&root, &catalog, "node");
+        assert_eq!(recovered.recovery_summary().unwrap().replayed, 161);
+        assert_eq!(recovered.pending_log().len(), 0, "replay records nothing");
+        recovered
+            .apply_batch([UpdateOp::Delete(4), UpdateOp::Delete(5)])
+            .unwrap();
+        assert_eq!(recovered.pending_log().len(), 0);
+        assert_eq!(recovered.len(), 10 + 160 - 3);
+    }
+
     #[test]
     fn create_write_crash_recover_is_bit_identical() {
-        let root = fresh_dir("roundtrip");
+        let root = TempDir::new("wald-roundtrip");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
         let node =
@@ -448,12 +585,11 @@ mod tests {
         }
         assert!(recovered.answer(&SelectionQuery::point(0, 501i64)));
         assert!(!recovered.answer(&SelectionQuery::point(0, 500i64)));
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn checkpoint_marks_advance_and_recovery_replays_only_the_tail() {
-        let root = fresh_dir("marks");
+        let root = TempDir::new("wald-marks");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
         let node =
@@ -464,7 +600,6 @@ mod tests {
         }
         node.checkpoint(&catalog, "node").unwrap();
         assert_eq!(node.checkpoint_mark(), 20);
-        assert!(node.pending_log().is_empty());
         for i in 0..5i64 {
             node.insert(vec![Value::Int(200 + i), Value::str("post")])
                 .unwrap();
@@ -486,12 +621,11 @@ mod tests {
         let again = DurableLiveRelation::recover(&catalog, "node", &wal_dir, config()).unwrap();
         assert!(again.answer(&SelectionQuery::point(0, 999i64)));
         assert_eq!(again.len(), 36);
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn compaction_after_checkpoint_never_changes_recovered_state() {
-        let root = fresh_dir("compact");
+        let root = TempDir::new("wald-compact");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
         let node =
@@ -531,13 +665,12 @@ mod tests {
         ] {
             assert_eq!(before.matching_ids(&q), after.matching_ids(&q), "{q:?}");
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn apply_batch_commits_once_is_durable_and_recovers() {
         use pitract_engine::{Applied, UpdateOp};
-        let root = fresh_dir("batchapply");
+        let root = TempDir::new("wald-batchapply");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
         let node =
@@ -562,13 +695,12 @@ mod tests {
         for (gid, expect) in expected.iter().enumerate() {
             assert_eq!(&recovered.row(gid), expect, "gid {gid}");
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn pooled_executor_serves_a_durable_node() {
         use pitract_engine::{PoolConfig, PooledExecutor, QueryBatch};
-        let root = fresh_dir("pooled");
+        let root = TempDir::new("wald-pooled");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let node = Arc::new(
             DurableLiveRelation::create(live(100), &catalog, "node", root.join("wal"), config())
@@ -601,12 +733,11 @@ mod tests {
         for (k, ids) in rows.rows.iter().enumerate() {
             assert_eq!(ids, &vec![k * 3], "gid of key {}", k * 3);
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn create_refuses_a_relation_with_pending_updates() {
-        let root = fresh_dir("pending");
+        let root = TempDir::new("wald-pending");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let lr = live(5);
         lr.insert(vec![Value::Int(99), Value::str("unlogged")])
@@ -617,14 +748,13 @@ mod tests {
             matches!(err, WalError::PendingUpdates { count: 1 }),
             "{err}"
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// One recorder threaded through the whole durable stack: WAL,
     /// engine, and MVCC series all land in a single snapshot.
     #[test]
     fn observed_stack_publishes_wal_engine_and_mvcc_series() {
-        let root = fresh_dir("observed");
+        let root = TempDir::new("wald-observed");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
         let recorder = Recorder::new();
@@ -675,12 +805,11 @@ mod tests {
             None,
             "clean shutdown"
         );
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     #[test]
     fn concurrent_writers_recover_consistently() {
-        let root = fresh_dir("race");
+        let root = TempDir::new("wald-race");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
         let node =
@@ -706,6 +835,5 @@ mod tests {
         for (gid, expect) in expected.iter().enumerate() {
             assert_eq!(&recovered.row(gid), expect, "gid {gid}");
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 }

@@ -33,6 +33,10 @@
 //!   WAL position as one atomic snapshot; recovery is checkpoint load +
 //!   compacted tail replay, bit-identical — answers **and** global row
 //!   ids — to the crashed node's confirmed prefix.
+//! * [`restore()`] — the one routine that rebuilds a node from a
+//!   checkpoint and a scanned log tail, shared by primary recovery and
+//!   `pitract-repl` follower bootstrap, with the one epoch ↔ LSN rule
+//!   the checkpoint fixes ([`EpochLsn`]).
 //!
 //! The correctness contract, enforced by unit, integration, and
 //! crash-injection property tests (segment files truncated at every
@@ -50,7 +54,7 @@
 //! let relation = Relation::from_rows(schema, rows).unwrap();
 //! let live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
 //!
-//! let root = std::env::temp_dir().join(format!("pitract-wal-doc-{}", std::process::id()));
+//! let root = pitract_core::tempdir::TempDir::new("wal-doc");
 //! let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
 //!
 //! // Go durable: bootstrap checkpoint + write-ahead log.
@@ -67,7 +71,6 @@
 //! ).unwrap();
 //! assert!(recovered.answer(&SelectionQuery::point(0, 5_000i64)));
 //! assert!(recovered.row(3).is_none());
-//! # std::fs::remove_dir_all(&root).unwrap();
 //! ```
 
 #![warn(missing_docs)]
@@ -83,6 +86,7 @@ pub mod compactor;
 pub mod durable;
 pub mod error;
 pub mod reader;
+pub mod restore;
 pub mod segment;
 pub mod writer;
 
@@ -90,5 +94,6 @@ pub use compactor::{CompactionReport, Compactor};
 pub use durable::{DurableLiveRelation, WalWriterSink};
 pub use error::WalError;
 pub use reader::{WalReader, WalRecord};
+pub use restore::{restore, EpochLsn, Recovered};
 pub use segment::{SEGMENT_MAGIC, SEGMENT_VERSION};
 pub use writer::{SyncPolicy, WalConfig, WalWriter};

@@ -157,18 +157,12 @@ impl WalReader {
 mod tests {
     use super::*;
     use crate::writer::{WalConfig, WalWriter};
+    use pitract_core::tempdir::TempDir;
     use pitract_relation::Value;
-    use std::path::PathBuf;
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-walr-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     #[test]
     fn reads_back_what_the_writer_appended_across_segments() {
-        let dir = fresh_dir("roundtrip");
+        let dir = TempDir::new("walr-roundtrip");
         let wal = WalWriter::open(
             &dir,
             WalConfig {
@@ -200,13 +194,12 @@ mod tests {
         assert_eq!(reader.tail_log(0).len(), 25);
         assert_eq!(reader.tail_log(20).len(), 5);
         assert_eq!(reader.tail_log(25).len(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn garbage_payload_is_corrupt_not_a_panic() {
         use crate::segment::{encode_record, segment_file_name, segment_header};
-        let dir = fresh_dir("garbage");
+        let dir = TempDir::new("walr-garbage");
         std::fs::create_dir_all(&dir).unwrap();
         // A perfectly framed record whose payload is not an UpdateEntry.
         let mut bytes = segment_header(0);
@@ -217,7 +210,6 @@ mod tests {
             matches!(err, WalError::Corrupt { ref reason, .. } if reason.contains("decode")),
             "{err}"
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -234,7 +226,7 @@ mod tests {
     #[test]
     fn torn_tail_truncation_emits_event_and_counters() {
         use std::fs::OpenOptions;
-        let dir = fresh_dir("torn-observed");
+        let dir = TempDir::new("walr-torn-observed");
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         for i in 0..5 {
             wal.append_entry(&UpdateEntry::Insert {
@@ -283,6 +275,5 @@ mod tests {
             clean.snapshot().counter("wal_recovery_truncations_total"),
             None
         );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -275,6 +275,29 @@ impl DirScan {
     }
 }
 
+/// Make a scanned directory appendable after a crash: truncate (and
+/// fsync) the torn tail of the last segment — the torn bytes were never
+/// confirmed, and appending after them would bury garbage inside the
+/// record stream — or remove the last segment when even its header never
+/// hit the disk. Returns the surviving last segment and its clean length,
+/// where appends resume; `None` when appends need a fresh segment. The
+/// WAL writer and a follower's mirror both reopen through here.
+pub fn heal_tail(scan: &DirScan) -> Result<Option<(PathBuf, u64)>, WalError> {
+    let Some(seg) = scan.segments.last() else {
+        return Ok(None);
+    };
+    if seg.clean_len < SEGMENT_HEADER_LEN as u64 {
+        std::fs::remove_file(&seg.path)?;
+        return Ok(None);
+    }
+    if seg.clean_len < seg.file_len {
+        let file = std::fs::OpenOptions::new().write(true).open(&seg.path)?;
+        file.set_len(seg.clean_len)?;
+        file.sync_all()?;
+    }
+    Ok(Some((seg.path.clone(), seg.clean_len)))
+}
+
 /// Scan a WAL directory: locate the segment files, validate each, check
 /// cross-segment LSN monotonicity. Foreign files (wrong extension, wrong
 /// name shape, leftover `.tmp` from an interrupted compaction) are
@@ -494,9 +517,7 @@ mod tests {
 
     #[test]
     fn dir_scan_orders_segments_and_ignores_foreign_files() {
-        let dir = std::env::temp_dir().join(format!("pitract-walseg-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = pitract_core::tempdir::TempDir::new("walseg");
         std::fs::write(
             dir.join(segment_file_name(0)),
             segment_bytes(0, &[b"a", b"b"]),
@@ -514,7 +535,6 @@ mod tests {
         // Overlapping bases across files are corrupt.
         std::fs::write(dir.join(segment_file_name(1)), segment_bytes(1, &[b"x"])).unwrap();
         assert!(matches!(scan_dir(&dir), Err(WalError::Corrupt { .. })));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use crate::error::WalError;
 use crate::segment::{
-    encode_record, scan_dir, segment_file_name, segment_header, DirScan, SEGMENT_HEADER_LEN,
+    encode_record, heal_tail, scan_dir, segment_file_name, segment_header, DirScan,
+    SEGMENT_HEADER_LEN,
 };
 use pitract_core::lockdep::{LockRank, OrderedMutex, OrderedMutexGuard};
 use pitract_engine::UpdateEntry;
@@ -209,31 +210,16 @@ impl WalWriter {
         let scan = scan_dir(&dir)?;
         let next_lsn = scan.next_lsn.max(floor);
 
-        // Truncate a torn tail before anything else: the torn bytes were
-        // never confirmed, and appending after them would bury garbage
-        // inside the record stream.
-        let file = match scan.segments.last() {
-            Some(seg) if seg.clean_len >= SEGMENT_HEADER_LEN as u64 => {
-                let file = OpenOptions::new().write(true).open(&seg.path)?;
-                if seg.clean_len < seg.file_len {
-                    file.set_len(seg.clean_len)?;
-                    file.sync_all()?;
-                }
-                let mut file = file;
+        // Heal a torn tail before anything else, then append to the
+        // surviving segment or start a fresh one at `next_lsn`.
+        let (file, active_bytes) = match heal_tail(&scan)? {
+            Some((path, len)) => {
+                let mut file = OpenOptions::new().write(true).open(&path)?;
                 file.seek_end()?;
-                file
+                (file, len)
             }
-            other => {
-                // Empty directory, or a segment whose header never hit
-                // the disk (torn at birth — remove the husk): start a
-                // fresh segment at `next_lsn`.
-                if let Some(seg) = other {
-                    std::fs::remove_file(&seg.path)?;
-                }
-                create_segment(&dir, next_lsn)?
-            }
+            None => (create_segment(&dir, next_lsn)?, SEGMENT_HEADER_LEN as u64),
         };
-        let active_bytes = active_len(&scan);
         let writer = WalWriter {
             rotation: OrderedMutex::new(LockRank::WalRotation, ()),
             instruments: WalInstruments::new(recorder),
@@ -476,13 +462,6 @@ fn create_segment(dir: &Path, base_lsn: u64) -> Result<File, WalError> {
 
 /// Bytes already in the active segment after recovery (its clean
 /// prefix), or a fresh header's worth when a new segment was created.
-fn active_len(scan: &crate::segment::DirScan) -> u64 {
-    match scan.segments.last() {
-        Some(seg) if seg.clean_len >= SEGMENT_HEADER_LEN as u64 => seg.clean_len,
-        _ => SEGMENT_HEADER_LEN as u64,
-    }
-}
-
 /// Seek-to-end helper kept off the trait imports.
 trait SeekEnd {
     fn seek_end(&mut self) -> std::io::Result<u64>;
@@ -499,14 +478,8 @@ impl SeekEnd for File {
 mod tests {
     use super::*;
     use crate::segment::scan_dir;
+    use pitract_core::tempdir::TempDir;
     use pitract_relation::Value;
-    use std::path::PathBuf;
-
-    fn fresh_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("pitract-walw-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        dir
-    }
 
     fn insert(gid: usize, key: i64) -> UpdateEntry {
         UpdateEntry::Insert {
@@ -517,7 +490,7 @@ mod tests {
 
     #[test]
     fn appends_assign_sequential_lsns_and_survive_reopen() {
-        let dir = fresh_dir("seq");
+        let dir = TempDir::new("walw-seq");
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         for i in 0..10 {
             assert_eq!(wal.append_entry(&insert(i, i as i64)).unwrap(), i as u64);
@@ -529,12 +502,11 @@ mod tests {
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         assert_eq!(wal.next_lsn(), 10);
         assert_eq!(wal.append_entry(&insert(10, 10)).unwrap(), 10);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn rotation_closes_segments_and_fsyncs_them_complete() {
-        let dir = fresh_dir("rotate");
+        let dir = TempDir::new("walw-rotate");
         let config = WalConfig {
             segment_bytes: 128, // tiny: force several rotations
             sync: SyncPolicy::Never,
@@ -556,7 +528,6 @@ mod tests {
         for seg in &scan.segments {
             assert_eq!(seg.clean_len, seg.file_len, "{:?}", seg.path);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// The rotation-deferral contract itself: the size threshold
@@ -565,7 +536,7 @@ mod tests {
     /// or an explicit sync — settles it, whatever the policy.
     #[test]
     fn rotation_is_deferred_from_append_to_commit() {
-        let dir = fresh_dir("deferred");
+        let dir = TempDir::new("walw-deferred");
         let config = WalConfig {
             segment_bytes: 64,
             sync: SyncPolicy::Never,
@@ -587,7 +558,6 @@ mod tests {
         assert_eq!(scan.next_lsn, 10, "no record lost across the deferral");
         // The closed segment is complete.
         assert_eq!(scan.segments[0].clean_len, scan.segments[0].file_len);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Group commit under concurrent stagers drives the deferred
@@ -596,7 +566,7 @@ mod tests {
     /// is complete.
     #[test]
     fn racing_committers_rotate_exactly_once_per_debt() {
-        let dir = fresh_dir("race-rotate");
+        let dir = TempDir::new("walw-race-rotate");
         let config = WalConfig {
             segment_bytes: 256,
             sync: SyncPolicy::GroupCommit,
@@ -625,12 +595,11 @@ mod tests {
         for seg in &scan.segments {
             assert_eq!(seg.clean_len, seg.file_len, "{:?}", seg.path);
         }
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn open_truncates_a_torn_tail_and_appends_cleanly_after_it() {
-        let dir = fresh_dir("torn");
+        let dir = TempDir::new("walw-torn");
         let wal = WalWriter::open(&dir, WalConfig::default()).unwrap();
         for i in 0..5 {
             wal.append_entry(&insert(i, i as i64)).unwrap();
@@ -651,12 +620,11 @@ mod tests {
         let scan = scan_dir(&dir).unwrap();
         assert_eq!(scan.torn_bytes, 0, "tail healed");
         assert_eq!(scan.records().count(), 5);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn commit_group_covers_previously_staged_records() {
-        let dir = fresh_dir("group");
+        let dir = TempDir::new("walw-group");
         let wal = WalWriter::open(
             &dir,
             WalConfig {
@@ -674,7 +642,6 @@ mod tests {
         // The piggybacked commits return without needing another flush.
         wal.commit(a).unwrap();
         wal.commit(c).unwrap();
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -684,7 +651,7 @@ mod tests {
             (SyncPolicy::GroupCommit, false),
             (SyncPolicy::Never, false),
         ] {
-            let dir = fresh_dir(&format!("policy-{policy:?}"));
+            let dir = TempDir::new(&format!("walw-policy-{policy:?}"));
             let wal = WalWriter::open(
                 &dir,
                 WalConfig {
@@ -706,17 +673,15 @@ mod tests {
                 durable_after_commit,
                 "{policy:?} after commit"
             );
-            std::fs::remove_dir_all(&dir).unwrap();
         }
     }
 
     #[test]
     fn open_at_floor_never_hands_out_covered_lsns() {
-        let dir = fresh_dir("floor");
+        let dir = TempDir::new("walw-floor");
         // An emptied directory with a checkpoint claiming to cover 40.
         let wal = WalWriter::open_at(&dir, WalConfig::default(), 40).unwrap();
         assert_eq!(wal.next_lsn(), 40);
         assert_eq!(wal.append_entry(&insert(0, 1)).unwrap(), 40);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

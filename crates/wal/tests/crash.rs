@@ -10,24 +10,12 @@
 //! feeds arbitrary garbage and bit-flips through the same path and
 //! requires a typed result.
 
+use pitract_core::tempdir::TempDir;
 use pitract_engine::UpdateEntry;
 use pitract_relation::Value;
 use pitract_wal::segment::{segment_file_name, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
 use pitract_wal::{SyncPolicy, WalConfig, WalReader, WalWriter};
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-wal-crash-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Deterministic entry stream from generated ops: inserts take the next
 /// gid; deletes target an earlier gid (so the stream is a plausible
@@ -66,7 +54,7 @@ proptest! {
         cut_seed in 0usize..1_000_000
     ) {
         let entries = entries_from_ops(&ops);
-        let dir = fresh_dir("cut");
+        let dir = TempDir::new("wal-crash-cut");
         let wal = WalWriter::open(
             &dir,
             WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never },
@@ -111,7 +99,6 @@ proptest! {
         ).unwrap();
         prop_assert_eq!(wal.next_lsn(), complete as u64);
         drop(wal);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// Crash mid-`apply_batch`: a batch is staged record-by-record and
@@ -157,7 +144,7 @@ proptest! {
             }
         }
 
-        let root = fresh_dir("batchcut");
+        let root = TempDir::new("wal-crash-batchcut");
         let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
         let wal_dir = root.join("wal");
         let config = WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never };
@@ -199,7 +186,6 @@ proptest! {
         for gid in 0..next_gid {
             prop_assert_eq!(recovered.row(gid), oracle.row(gid), "gid {}", gid);
         }
-        std::fs::remove_dir_all(&root).unwrap();
     }
 
     /// Arbitrary damage — random bytes, or a bit flip anywhere in a real
@@ -214,7 +200,7 @@ proptest! {
     ) {
         // Bit flip in a real segment.
         let entries = entries_from_ops(&ops);
-        let dir = fresh_dir("flip");
+        let dir = TempDir::new("wal-crash-flip");
         let wal = WalWriter::open(
             &dir,
             WalConfig { segment_bytes: u64::MAX, sync: SyncPolicy::Never },
@@ -236,13 +222,11 @@ proptest! {
             // in no case may more records appear than were written.
             prop_assert!(reader.len() <= entries.len());
         }
-        std::fs::remove_dir_all(&dir).unwrap();
 
         // Pure garbage under a segment name.
-        let dir = fresh_dir("garbage");
+        let dir = TempDir::new("wal-crash-garbage");
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(segment_file_name(0)), &garbage).unwrap();
         let _ = WalReader::open(&dir); // Ok(empty/torn) or typed error; no panic
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

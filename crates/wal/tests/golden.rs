@@ -13,6 +13,7 @@
 //! PITRACT_REGEN_FIXTURES=1 cargo test -p pitract-wal --test golden
 //! ```
 
+use pitract_core::tempdir::TempDir;
 use pitract_engine::UpdateEntry;
 use pitract_relation::Value;
 use pitract_wal::segment::{encode_record, segment_file_name, segment_header};
@@ -79,9 +80,7 @@ fn segment_encoding_is_byte_stable() {
 
 #[test]
 fn committed_fixture_recovers_to_the_pinned_entries() {
-    let dir = std::env::temp_dir().join(format!("pitract-wal-golden-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("wal-golden");
     std::fs::write(
         dir.join(segment_file_name(7)),
         std::fs::read(fixture_path()).unwrap(),
@@ -93,14 +92,11 @@ fn committed_fixture_recovers_to_the_pinned_entries() {
     let lsns: Vec<u64> = reader.records().iter().map(|r| r.lsn).collect();
     assert_eq!(lsns, vec![7, 8, 9, 10, 11]);
     assert_eq!(reader.next_lsn(), 12);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn bumped_version_is_rejected_with_version_mismatch() {
-    let dir = std::env::temp_dir().join(format!("pitract-wal-vbump-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = TempDir::new("wal-vbump");
     let mut bytes = std::fs::read(fixture_path()).unwrap();
     // Bytes 8..10 are the little-endian format version.
     let bumped = SEGMENT_VERSION + 1;
@@ -113,5 +109,4 @@ fn bumped_version_is_rejected_with_version_mismatch() {
         }
         other => panic!("expected VersionMismatch, got {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

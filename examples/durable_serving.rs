@@ -1,9 +1,9 @@
 //! Durable serving: a crash at any instant loses no confirmed update.
 //!
-//! The live serving tier (`examples/live_serving.rs`) keeps its update
-//! log in memory — everything since the last checkpoint sits in a crash
-//! window. This example closes that window with the `pitract-wal`
-//! write-ahead log and walks the whole durability loop:
+//! A plain `LiveRelation` keeps its update log in memory — everything
+//! since the last checkpoint sits in a crash window. This example closes
+//! that window with the `pitract-wal` write-ahead log, which becomes the
+//! node's only log, and walks the whole durability loop:
 //!
 //! 1. **Go durable**: wrap a 50k-row live relation in a
 //!    `DurableLiveRelation` — a bootstrap checkpoint plus an fsync'd,
@@ -34,8 +34,7 @@ fn main() {
         .collect();
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
-    let root = std::env::temp_dir().join(format!("pitract-durable-ex-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("durable-example");
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let wal_dir = root.join("wal");
     let config = WalConfig {
@@ -174,5 +173,4 @@ fn main() {
     assert_eq!(node.execute(&batch).expect("batch").answers, oracle);
 
     println!("\neverything verified: durable, crash-consistent, compacted. ✓");
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -8,16 +8,17 @@
 //!
 //! 1. **Go live**: wrap a 100k-row sharded relation in a `LiveRelation`
 //!    (per-shard read/write locks — updates lock one shard, batches
-//!    read-lock only the shards they route to).
+//!    read-lock only the shards they route to) and make it durable: a
+//!    bootstrap checkpoint plus a write-ahead log, the node's only log.
 //! 2. **Serve under fire**: four writer threads churn inserts/deletes
 //!    while the main thread serves query batches concurrently, verifying
 //!    a stable key region against the scan oracle the whole time.
 //! 3. **Account**: print the `|CHANGED|` boundedness report of every
 //!    applied update.
 //! 4. **Checkpoint + recover**: persist the state through the snapshot
-//!    catalog, apply more updates, then recover (snapshot load + update
-//!    log replay) and verify the recovered node is bit-identical — same
-//!    answers, same global row ids.
+//!    catalog, apply more updates, drop the node, then recover
+//!    (checkpoint load + WAL tail replay) and verify the recovered node
+//!    is bit-identical — same answers, same global row ids, same epoch.
 //!
 //! Run with: `cargo run --release --example live_serving`
 
@@ -35,11 +36,22 @@ fn main() {
         .collect();
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
-    // 1. Go live: Π(D) across 8 shards, wrapped for concurrent serving.
+    // 1. Go live: Π(D) across 8 shards, wrapped for concurrent serving
+    //    and made durable. The WAL runs unsynced: this demo crashes by
+    //    dropping the node, which loses nothing the OS already holds.
+    let dir = TempDir::new("live-example");
+    let catalog = SnapshotCatalog::open(dir.join("snaps")).expect("catalog dir");
+    let wal_dir = dir.join("wal");
+    let config = WalConfig {
+        sync: SyncPolicy::Never,
+        ..WalConfig::default()
+    };
     let live = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 8, &[0, 1])
         .expect("valid sharding spec");
+    let live = DurableLiveRelation::create(live, &catalog, "live-orders", &wal_dir, config.clone())
+        .expect("fresh durable node");
     println!(
-        "live Π(D): {} rows -> 8 shards behind per-shard RwLocks",
+        "live Π(D): {} rows -> 8 shards behind per-shard RwLocks, WAL-attached",
         live.len()
     );
 
@@ -115,9 +127,8 @@ fn main() {
         report.is_per_update_bounded(descent_bound)
     );
 
-    // 4. Checkpoint, keep writing, then recover and verify bit-identity.
-    let dir = std::env::temp_dir().join(format!("pitract-live-example-{}", std::process::id()));
-    let catalog = SnapshotCatalog::open(&dir).expect("catalog dir");
+    // 4. Checkpoint, keep writing, crash, then recover and verify
+    //    bit-identity.
     let t1 = Instant::now();
     live.checkpoint(&catalog, "live-orders")
         .expect("checkpoint");
@@ -132,31 +143,34 @@ fn main() {
         .expect("valid row");
     live.delete(7).unwrap().expect("gid 7 live");
     println!(
-        "post-checkpoint traffic: 1 insert (gid {post_gid}), 1 delete; pending log = {} entries",
+        "post-checkpoint traffic: 1 insert (gid {post_gid}), 1 delete; WAL tail = {} records \
+         past the mark, in-memory log = {} entries",
+        live.wal().next_lsn() - live.checkpoint_mark(),
         live.pending_log().len()
     );
 
-    let t2 = Instant::now();
-    let (recovered, summary) = LiveRelation::recover(&catalog, "live-orders", &live.pending_log())
-        .expect("snapshot load + log replay");
-    println!(
-        "recovered = snapshot + replay  [{:.2?}]  (epoch clock resumed at {}, {} entries replayed)",
-        t2.elapsed(),
-        summary.epoch,
-        summary.replayed
-    );
-    assert_eq!(recovered.current_epoch(), live.current_epoch());
-
-    assert_eq!(recovered.len(), live.len());
     let probes = QueryBatch::new(vec![
         SelectionQuery::point(0, n * 10),
         SelectionQuery::point(0, 7i64),
         SelectionQuery::range_closed(0, 0i64, 100i64),
     ]);
-    let a = live.execute_rows(&probes).expect("live rows");
-    let b = recovered.execute_rows(&probes).expect("recovered rows");
-    assert_eq!(a.rows, b.rows, "global row ids survive recovery");
-    println!("recovered node is bit-identical: same answers, same global row ids");
+    let expected = live.execute_rows(&probes).expect("live rows");
+    let (len, epoch) = (live.len(), live.current_epoch());
+    drop(live); // crash
 
-    std::fs::remove_dir_all(&dir).ok();
+    let t2 = Instant::now();
+    let recovered = DurableLiveRelation::recover(&catalog, "live-orders", &wal_dir, config)
+        .expect("checkpoint load + WAL replay");
+    let summary = recovered.recovery_summary().expect("a recovered node");
+    println!(
+        "recovered = checkpoint + WAL replay  [{:.2?}]  (epoch clock resumed at {}, {} entries replayed)",
+        t2.elapsed(),
+        summary.epoch,
+        summary.replayed
+    );
+    assert_eq!(recovered.current_epoch(), epoch);
+    assert_eq!(recovered.len(), len);
+    let got = recovered.execute_rows(&probes).expect("recovered rows");
+    assert_eq!(got.rows, expected.rows, "global row ids survive recovery");
+    println!("recovered node is bit-identical: same answers, same global row ids");
 }

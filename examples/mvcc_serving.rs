@@ -6,14 +6,15 @@
 //! closing that hole without blocking writers:
 //!
 //! 1. **Build the live tier**: a 20k-row relation sharded 4 ways behind
-//!    a `LiveRelation`; every applied update ticks a monotonic `Epoch`.
+//!    a durable `LiveRelation`; every applied update ticks a monotonic
+//!    `Epoch` and takes the next WAL LSN.
 //! 2. **Serve under churn**: batches flow through a `PooledExecutor`
 //!    while writer threads race them. Each batch pins one epoch
 //!    (`BatchReport::epoch`) and every shard answers at exactly that
 //!    instance; writers push O(1) undo records around the pin.
-//! 3. **Prove the cut**: for each batch, replay exactly `epoch` log
-//!    entries onto a fresh build — the oracle's row ids must equal the
-//!    batch's, bit for bit.
+//! 3. **Prove the cut**: for each batch, replay the WAL records below
+//!    `lsn_of_epoch(epoch)` onto a fresh build — the oracle's row ids
+//!    must equal the batch's, bit for bit.
 //! 4. **Crash and recover**: checkpoint, drop the node, recover — the
 //!    epoch clock resumes exactly where the lost node's stood
 //!    (`Recovered`), so pinned reads mean the same instant across the
@@ -35,10 +36,26 @@ fn main() {
         .collect();
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
-    // 1. The live tier: Π(D) across 4 shards, epoch clock at zero.
+    // 1. The live tier: Π(D) across 4 shards, epoch clock at zero,
+    //    made durable. The WAL runs unsynced: the demo crashes by
+    //    dropping the node, which loses nothing the OS already holds.
+    let dir = TempDir::new("mvcc-example");
+    let catalog = SnapshotCatalog::open(dir.join("snaps")).expect("catalog dir");
+    let wal_dir = dir.join("wal");
+    let config = WalConfig {
+        sync: SyncPolicy::Never,
+        ..WalConfig::default()
+    };
     let live = Arc::new(
-        LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
-            .expect("valid sharding spec"),
+        DurableLiveRelation::create(
+            LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
+                .expect("valid sharding spec"),
+            &catalog,
+            "mvcc-orders",
+            &wal_dir,
+            config.clone(),
+        )
+        .expect("fresh durable node"),
     );
     let exec = PooledExecutor::with_default_pool(Arc::clone(&live));
     println!(
@@ -89,19 +106,20 @@ fn main() {
         observed.iter().map(|(e, _)| e.get()).collect::<Vec<_>>()
     );
 
-    // 3. The consistency proof: epoch E names the state after exactly E
-    //    logged updates; replaying that prefix reproduces each batch's
-    //    row ids bit-identically.
-    let log = live.pending_log();
+    // 3. The consistency proof: epoch E names the state after the WAL
+    //    records below `lsn_of_epoch(E)`; replaying that prefix
+    //    reproduces each batch's row ids bit-identically.
+    let log = WalReader::open(&wal_dir).expect("readable WAL").tail_log(0);
     for (epoch, rows) in &observed {
-        let prefix = UpdateLog::from_entries(log.entries()[..epoch.get() as usize].to_vec());
+        let end = live.lsn_of_epoch(*epoch) as usize;
+        let prefix = UpdateLog::from_entries(log.entries()[..end].to_vec());
         let oracle = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1])
             .expect("valid sharding spec");
         oracle.replay(&prefix).expect("own history replays");
         let expect = oracle.execute_rows(&batch).expect("valid batch");
         assert_eq!(&expect.rows, rows, "batch at pinned epoch {epoch} diverged");
     }
-    println!("every batch bit-identical to the log-prefix oracle at its pinned epoch");
+    println!("every batch bit-identical to the WAL-prefix oracle at its pinned epoch");
     let stats = live.version_stats();
     println!(
         "version rings drained: {} pins, {} retained versions (clock at {})",
@@ -109,34 +127,36 @@ fn main() {
     );
 
     // 4. Crash and recover: the epoch clock survives the restart.
-    let dir = std::env::temp_dir().join(format!("pitract-mvcc-ex-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let catalog = SnapshotCatalog::open(&dir).expect("catalog dir");
     live.checkpoint(&catalog, "mvcc-orders")
         .expect("checkpoint");
     live.insert(vec![Value::Int(n * 5), Value::str("post-checkpoint")])
         .expect("valid row");
-    let (recovered, summary) = LiveRelation::recover(&catalog, "mvcc-orders", &live.pending_log())
-        .expect("snapshot load + log replay");
+    let epoch = live.current_epoch();
+    drop(exec);
+    drop(live); // crash
+    let recovered = DurableLiveRelation::recover(&catalog, "mvcc-orders", &wal_dir, config)
+        .expect("checkpoint load + WAL replay");
+    let summary = recovered.recovery_summary().expect("a recovered node");
     println!(
         "recovered: epoch clock resumed at {} ({} entries replayed)",
         summary.epoch, summary.replayed
     );
-    assert_eq!(recovered.current_epoch(), live.current_epoch());
+    assert_eq!(recovered.current_epoch(), epoch);
     recovered
         .insert(vec![Value::Int(n * 6), Value::str("next")])
         .expect("valid row");
-    live.insert(vec![Value::Int(n * 6), Value::str("next")])
-        .expect("valid row");
     assert_eq!(
         recovered.current_epoch(),
-        live.current_epoch(),
-        "both nodes stamp the next update identically"
+        Epoch::new(epoch.get() + 1),
+        "the next update is stamped as the lost node would have stamped it"
+    );
+    assert_eq!(
+        recovered.lsn_of_epoch(recovered.current_epoch()),
+        recovered.wal().next_lsn()
     );
     println!(
-        "post-recovery updates stamped identically on both nodes (epoch {})",
-        live.current_epoch()
+        "post-recovery update stamped epoch {}, LSN {} — the rule the checkpoint fixed",
+        recovered.current_epoch(),
+        recovered.wal().next_lsn() - 1
     );
-
-    std::fs::remove_dir_all(&dir).ok();
 }

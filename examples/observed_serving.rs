@@ -38,8 +38,7 @@ fn main() {
         .collect();
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
-    let root = std::env::temp_dir().join(format!("pitract-observed-ex-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("observed-example");
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let wal_dir = root.join("wal");
     let config = WalConfig {
@@ -211,5 +210,4 @@ fn main() {
     );
 
     println!("\neverything verified: served, crashed, recovered — and every step measured. ✓");
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -53,7 +53,7 @@ fn main() {
 
     // 2. Persist under a name. The catalog writes atomically (temp file +
     //    rename), so a crash mid-save can never corrupt a served snapshot.
-    let dir = std::env::temp_dir().join(format!("pitract-serving-{}", std::process::id()));
+    let dir = TempDir::new("serving-example");
     let catalog = SnapshotCatalog::open(&dir).expect("catalog dir");
     let t0 = Instant::now();
     let path = catalog
@@ -109,5 +109,4 @@ fn main() {
     println!("verified: warm-started answers identical to the cold-rebuilt oracle");
 
     catalog.remove("traffic").expect("cleanup snapshot");
-    let _ = std::fs::remove_dir_all(&dir);
 }

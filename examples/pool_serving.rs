@@ -31,8 +31,7 @@ fn main() {
         .collect();
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
-    let root = std::env::temp_dir().join(format!("pitract-pool-ex-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("pool-example");
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let wal_dir = root.join("wal");
     let config = WalConfig {
@@ -123,5 +122,4 @@ fn main() {
         "\nrecovered: all {written} batched updates replayed — session throughput, \
          per-record durability. ✓"
     );
-    let _ = std::fs::remove_dir_all(&root);
 }

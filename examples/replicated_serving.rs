@@ -33,8 +33,7 @@ fn main() {
     let rows: Vec<Vec<Value>> = (0..n).map(|i| vec![Value::Int(i)]).collect();
     let base = Relation::from_rows(schema, rows).expect("valid rows");
 
-    let root = std::env::temp_dir().join(format!("pitract-repl-ex-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("repl-example");
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let config = WalConfig {
         segment_bytes: 64 << 10,
@@ -192,5 +191,4 @@ fn main() {
     println!("\nmetrics: {lag_line} | {shipped_line}");
 
     println!("\neverything verified: published, shipped, replayed, bit-identical. ✓");
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -17,7 +17,7 @@
 //! | [`graph`] | breadth-depth search, reachability indexes, SCC, query-preserving compression, generators |
 //! | [`relation`] | typed relations, selection query classes, indexed evaluation, materialized views |
 //! | [`engine`] | sharded batch serving: hash/range partitioning, cost-based planning, scoped-thread and pooled batch execution, live serving under concurrent updates |
-//! | [`store`] | persistent snapshots: versioned, checksummed serialization of preprocessed structures + a named catalog for warm starts, live checkpoint/recover |
+//! | [`store`] | persistent snapshots: versioned, checksummed serialization of preprocessed structures + a named catalog for warm starts and live checkpoints |
 //! | [`wal`] | durable write-ahead log: fsync'd checksummed segments, group commit, torn-tail recovery, compaction, crash-consistent durable serving |
 //! | [`repl`] | WAL-shipping replication: primary-side segment publisher with retention watermarks, checkpoint-bootstrapped followers serving epoch-pinned consistent replica reads |
 //! | [`obs`] | zero-dependency observability: metrics registry (counters, gauges, log-bucket histograms), timing spans, bounded event tracing, Prometheus/JSON exporters |
@@ -91,15 +91,14 @@
 //! let sharded = ShardedRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
 //!
 //! // Persist Π(D) under a name…
-//! # let dir = std::env::temp_dir().join(format!("pitract-facade-{}", std::process::id()));
-//! let catalog = SnapshotCatalog::open(&dir).unwrap();
+//! # let dir = TempDir::new("facade");
+//! let catalog = SnapshotCatalog::open(dir.path()).unwrap();
 //! catalog.save("ids", &Snapshot::Sharded(sharded)).unwrap();
 //!
 //! // …and serve from the reloaded snapshot: same answers, same row ids,
 //! // no rebuild.
 //! let warm = catalog.load("ids").unwrap().into_sharded().unwrap();
 //! assert!(warm.answer(&SelectionQuery::point(0, 999i64)));
-//! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!
 //! ## Live serving
@@ -110,9 +109,10 @@
 //! the shards a query routes to, and an insert/delete write-locks only
 //! the one shard its key routes to, so writers never stall the rest of
 //! the fleet. Every update is `|CHANGED|`-accounted (Section 4(7)) and
-//! appended to a replayable update log; `checkpoint` persists the state
-//! through the snapshot catalog and `recover` replays the log on top —
-//! bit-identical answers and row ids.
+//! recorded in exactly one log: an in-memory update log on a plain
+//! node, the write-ahead log on a durable one (see
+//! [Durability](#durability), whose checkpoint + WAL replay is the one
+//! recovery path — bit-identical answers and row ids).
 //!
 //! ```
 //! use pi_tractable::prelude::*;
@@ -132,8 +132,8 @@
 //! let answers = live.execute(&batch).unwrap();
 //! assert_eq!(answers.answers.len(), 50);
 //!
-//! // Maintenance was |CHANGED|-accounted, and the update log can
-//! // checkpoint/recover through the store's `LiveCheckpoint` trait.
+//! // Maintenance was |CHANGED|-accounted, and both updates sit in the
+//! // node's one log — in memory here, since no WAL is attached.
 //! assert_eq!(live.boundedness_report().len(), 2);
 //! assert_eq!(live.pending_log().len(), 2);
 //! # let _ = gid;
@@ -236,10 +236,12 @@
 //! [`DurableLiveRelation`](crate::wal::DurableLiveRelation) stages every
 //! update into an fsync'd, checksummed write-ahead log *before* it
 //! becomes visible (inside the engine's global-id critical section, so
-//! log order equals id order even under racing writers) and recovers
-//! after a crash by loading the last checkpoint and replaying the
-//! compacted WAL tail — bit-identical answers and row ids, with a torn
-//! tail (the residue of a crash mid-append) truncated, never an error.
+//! log order equals id order even under racing writers); the WAL is
+//! then the node's only log. It recovers after a crash by loading the
+//! last checkpoint and replaying the compacted WAL tail through
+//! [`wal::restore`](crate::wal::restore()) — bit-identical answers and
+//! row ids, the epoch clock resumed from the LSN, and a torn tail (the
+//! residue of a crash mid-append) truncated, never an error.
 //!
 //! ```
 //! use pi_tractable::prelude::*;
@@ -248,8 +250,7 @@
 //! # let rows = (0..1_000i64).map(|i| vec![Value::Int(i)]).collect();
 //! # let relation = Relation::from_rows(schema, rows).unwrap();
 //! let live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
-//! # let root = std::env::temp_dir().join(format!("pitract-facade-wal-{}", std::process::id()));
-//! # let _ = std::fs::remove_dir_all(&root);
+//! # let root = TempDir::new("facade-wal");
 //! let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
 //!
 //! // Go durable: bootstrap checkpoint + write-ahead log.
@@ -266,7 +267,6 @@
 //! ).unwrap();
 //! assert!(recovered.answer(&SelectionQuery::point(0, 5_000i64)));
 //! assert!(recovered.row(3).is_none());
-//! # std::fs::remove_dir_all(&root).unwrap();
 //! ```
 //!
 //! ## Replication
@@ -275,14 +275,15 @@
 //! serving "millions of users" needs reads to scale *out* while one
 //! primary owns writes. The [`repl`] crate builds that from the pieces
 //! durability already pays for — immutable WAL segments with explicit
-//! LSNs, checkpoint cuts, and the epoch ↔ LSN dictionary. A
+//! LSNs, checkpoint cuts, and the epoch ↔ LSN rule a checkpoint fixes. A
 //! [`SegmentPublisher`](crate::repl::SegmentPublisher) exposes the
 //! primary's log as a polled tail subscription (shipments are record
 //! frames in the on-disk wire format, validated checksum-by-checksum on
 //! arrival, capped at the durable frontier), and a
 //! [`Follower`](crate::repl::Follower) bootstraps from the primary's
 //! checkpoint, mirrors shipped frames locally (durability first, then
-//! apply), and replays them into its own recovered engine. Served
+//! apply), and rebuilds through the same restore routine a crashed
+//! primary recovers with. Served
 //! batches pin **the epoch of the last LSN the follower replayed**:
 //! every replica read is a consistent cut that is a true prefix of the
 //! primary — bit-identical answers *and* global row ids. Attached
@@ -299,8 +300,7 @@
 //! # let rows = (0..100i64).map(|i| vec![Value::Int(i)]).collect();
 //! # let relation = Relation::from_rows(schema, rows).unwrap();
 //! let live = LiveRelation::build(&relation, ShardBy::Hash { col: 0 }, 2, &[0]).unwrap();
-//! # let root = std::env::temp_dir().join(format!("pitract-facade-repl-{}", std::process::id()));
-//! # let _ = std::fs::remove_dir_all(&root);
+//! # let root = TempDir::new("facade-repl");
 //! let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
 //!
 //! // A durable primary, published as a log-shipping source.
@@ -325,7 +325,6 @@
 //! let q = SelectionQuery::point(0, 5_000i64);
 //! assert_eq!(follower.matching_ids(&q), vec![gid]);
 //! assert_eq!(follower.current_epoch(), follower.applied_epoch());
-//! # std::fs::remove_dir_all(&root).unwrap();
 //! ```
 //!
 //! ## Observability
@@ -394,8 +393,11 @@
 //! invariant lints**: the [`analysis`] crate's `pitract-lint` binary
 //! walks the workspace sources with a zero-dependency lexer and denies
 //! panicking escape hatches in serving code, fsyncs under the WAL state
-//! lock, bare thread spawns, and benchmark artifacts written under
-//! `target/` — each rule opt-out-able per site with a justified
+//! lock, bare thread spawns, benchmark artifacts written under
+//! `target/`, blocking syscalls on pool workers, and scratch directories
+//! made with a bare `temp_dir()` instead of the per-call
+//! [`TempDir`](crate::core::tempdir::TempDir) — each rule opt-out-able
+//! per site with a justified
 //! `// lint:allow(<rule>)`.
 //!
 //! ```
@@ -447,6 +449,7 @@ pub mod prelude {
     pub use pitract_core::problem::{DecisionProblem, FnProblem};
     pub use pitract_core::reduce::{FReduction, FactorReduction};
     pub use pitract_core::scheme::Scheme;
+    pub use pitract_core::tempdir::TempDir;
     pub use pitract_engine::batch::{BatchAnswers, BatchReport, BatchRows, QueryBatch};
     pub use pitract_engine::error::EngineError;
     pub use pitract_engine::live::{
@@ -468,11 +471,9 @@ pub mod prelude {
     pub use pitract_relation::views::{MaterializedView, ViewSet};
     pub use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
     pub use pitract_repl::{CatchUpReport, Follower, ReplError, SegmentPublisher, Shipment};
-    pub use pitract_store::{
-        LiveCheckpoint, Recovered, Snapshot, SnapshotCatalog, SnapshotKind, StoreError,
-    };
+    pub use pitract_store::{Snapshot, SnapshotCatalog, SnapshotKind, StoreError};
     pub use pitract_wal::{
-        CompactionReport, Compactor, DurableLiveRelation, SyncPolicy, WalConfig, WalError,
-        WalReader, WalWriter,
+        CompactionReport, Compactor, DurableLiveRelation, EpochLsn, Recovered, SyncPolicy,
+        WalConfig, WalError, WalReader, WalWriter,
     };
 }

@@ -1,13 +1,12 @@
 //! Integration suite for the live serving tier: concurrent writers +
 //! query batches verified against a single-threaded oracle, recovery
-//! (checkpoint + log replay) bit-identical to the live state, and a
+//! (checkpoint + WAL replay) bit-identical to the live state, and a
 //! churn property test interleaving every operation against a
 //! `Vec`-backed model.
 
 use pi_tractable::prelude::*;
 use proptest::prelude::*;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 fn schema() -> Schema {
     Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)])
@@ -20,15 +19,29 @@ fn base_relation(n: i64) -> Relation {
     Relation::from_rows(schema(), rows).unwrap()
 }
 
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-live-it-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
+/// The recovery tests check state, not durability: an unsynced WAL.
+fn unsynced() -> WalConfig {
+    WalConfig {
+        segment_bytes: 1 << 20,
+        sync: SyncPolicy::Never,
+    }
+}
+
+/// A durable node over `base`, checkpointed under `name` in `dir`.
+fn durable(
+    dir: &TempDir,
+    catalog: &SnapshotCatalog,
+    name: &str,
+    base: &Relation,
+    shards: usize,
+) -> DurableLiveRelation {
+    let live = LiveRelation::build(base, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap();
+    DurableLiveRelation::create(live, catalog, name, dir.join("wal"), unsynced()).unwrap()
+}
+
+/// Recover the node checkpointed under `name` from its WAL in `dir`.
+fn recover(dir: &TempDir, catalog: &SnapshotCatalog, name: &str) -> DurableLiveRelation {
+    DurableLiveRelation::recover(catalog, name, dir.join("wal"), unsynced()).unwrap()
 }
 
 /// Queries over the stable key region `[0, n)` — writers only ever touch
@@ -132,16 +145,15 @@ fn concurrent_writers_and_batches_match_oracle() {
     );
 }
 
-/// `recover()` = snapshot load + log replay is bit-identical to the live
-/// state: same Boolean answers, same global row ids, same row contents
-/// under every gid ever assigned.
+/// Recovery = checkpoint load + WAL tail replay is bit-identical to the
+/// crashed node's state: same Boolean answers, same global row ids, same
+/// row contents under every gid ever assigned, same epoch clock.
 #[test]
 fn recover_after_checkpoint_equals_live() {
     let n = 2_000i64;
-    let dir = fresh_dir("recover");
-    let catalog = SnapshotCatalog::open(&dir).unwrap();
-    let live =
-        LiveRelation::build(&base_relation(n), ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
+    let dir = TempDir::new("live-it-recover");
+    let catalog = SnapshotCatalog::open(dir.join("snaps")).unwrap();
+    let live = durable(&dir, &catalog, "state", &base_relation(n), 4);
 
     // Pre-checkpoint churn.
     for i in 0..200i64 {
@@ -155,10 +167,10 @@ fn recover_after_checkpoint_equals_live() {
     live.checkpoint(&catalog, "state").unwrap();
     assert!(
         live.pending_log().is_empty(),
-        "checkpoint truncates the log"
+        "the WAL is the node's only log"
     );
 
-    // Post-checkpoint churn, captured only by the pending log.
+    // Post-checkpoint churn, captured only by the WAL tail.
     for i in 0..80i64 {
         live.insert(vec![Value::Int(n + 500 + i), Value::str("post")])
             .unwrap();
@@ -167,17 +179,8 @@ fn recover_after_checkpoint_equals_live() {
         live.delete(gid).unwrap().unwrap();
     }
 
-    let (recovered, summary) =
-        LiveRelation::recover(&catalog, "state", &live.pending_log()).unwrap();
-
-    // Bit-identical: length, every gid's row, answers and row-id sets —
-    // and the epoch clock resumed exactly where the live node's stands.
-    assert_eq!(summary.epoch, live.current_epoch());
-    assert_eq!(recovered.current_epoch(), live.current_epoch());
-    assert_eq!(recovered.len(), live.len());
-    for gid in 0..(n as usize + 280) {
-        assert_eq!(recovered.row(gid), live.row(gid), "gid {gid}");
-    }
+    let rows: Vec<Option<Vec<Value>>> = (0..(n as usize + 280)).map(|gid| live.row(gid)).collect();
+    let (len, epoch) = (live.len(), live.current_epoch());
     let probes = QueryBatch::new(vec![
         SelectionQuery::point(0, 0i64),
         SelectionQuery::point(0, n + 510),
@@ -189,27 +192,39 @@ fn recover_after_checkpoint_equals_live() {
         ),
     ]);
     let a = live.execute_rows(&probes).unwrap();
+    let live_records = live.boundedness_report();
+    drop(live); // crash
+
+    let recovered = recover(&dir, &catalog, "state");
+    let summary = recovered.recovery_summary().unwrap();
+
+    // Bit-identical: length, every gid's row, answers and row-id sets —
+    // and the epoch clock resumed exactly where the crashed node's stood.
+    assert_eq!(summary.epoch, epoch);
+    assert_eq!(recovered.current_epoch(), epoch);
+    assert_eq!(recovered.len(), len);
+    for (gid, expect) in rows.iter().enumerate() {
+        assert_eq!(&recovered.row(gid), expect, "gid {gid}");
+    }
     let b = recovered.execute_rows(&probes).unwrap();
     assert_eq!(a.rows, b.rows, "global row ids identical after recovery");
 
     // Replay reproduced the maintenance records of the replayed suffix
     // exactly (they are deterministic in the pre-update shard state).
-    let live_records = live.boundedness_report();
     let suffix = &live_records.records()[records_at_checkpoint..];
     assert_eq!(recovered.boundedness_report().records(), suffix);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// A checkpoint taken *while* writers and readers are running is a
-/// consistent point-in-time snapshot: recovering from it plus the
-/// post-join pending log equals the final live state.
+/// consistent point-in-time snapshot: recovering from it plus the WAL
+/// tail equals the final live state.
 #[test]
 fn checkpoint_under_concurrent_traffic_recovers_consistently() {
     let n = 2_000i64;
-    let dir = fresh_dir("midflight");
-    let catalog = SnapshotCatalog::open(&dir).unwrap();
+    let dir = TempDir::new("live-it-midflight");
+    let catalog = SnapshotCatalog::open(dir.join("snaps")).unwrap();
     let base = base_relation(n);
-    let live = LiveRelation::build(&base, ShardBy::Hash { col: 0 }, 4, &[0, 1]).unwrap();
+    let live = durable(&dir, &catalog, "midflight", &base, 4);
     let batch = stable_batch(n);
     let oracle: Vec<bool> = batch.queries().iter().map(|q| base.eval_scan(q)).collect();
 
@@ -251,19 +266,22 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
         }
     });
 
-    let (recovered, _summary) =
-        LiveRelation::recover(&catalog, "midflight", &live.pending_log()).unwrap();
-    assert_eq!(recovered.len(), live.len());
-    assert_eq!(recovered.current_epoch(), live.current_epoch());
     let upper = n as usize + 3_000_000 + 100_000;
-    for q in [
+    let queries = [
         SelectionQuery::point(0, 17i64),
         SelectionQuery::range_closed(0, 0i64, n + 50),
         SelectionQuery::range_closed(0, n, upper as i64),
-    ] {
-        assert_eq!(recovered.matching_ids(&q), live.matching_ids(&q), "{q:?}");
+    ];
+    let expected: Vec<Vec<usize>> = queries.iter().map(|q| live.matching_ids(q)).collect();
+    let (len, epoch) = (live.len(), live.current_epoch());
+    drop(live); // crash
+
+    let recovered = recover(&dir, &catalog, "midflight");
+    assert_eq!(recovered.len(), len);
+    assert_eq!(recovered.current_epoch(), epoch);
+    for (q, expect) in queries.iter().zip(&expected) {
+        assert_eq!(&recovered.matching_ids(q), expect, "{q:?}");
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// The epoch clock survives checkpoint → recover exactly: the recovered
@@ -272,10 +290,9 @@ fn checkpoint_under_concurrent_traffic_recovers_consistently() {
 /// restart.
 #[test]
 fn recovery_resumes_the_epoch_clock() {
-    let dir = fresh_dir("epochclock");
-    let catalog = SnapshotCatalog::open(&dir).unwrap();
-    let live =
-        LiveRelation::build(&base_relation(100), ShardBy::Hash { col: 0 }, 3, &[0, 1]).unwrap();
+    let dir = TempDir::new("live-it-epochclock");
+    let catalog = SnapshotCatalog::open(dir.join("snaps")).unwrap();
+    let live = durable(&dir, &catalog, "clock", &base_relation(100), 3);
     assert_eq!(live.current_epoch(), Epoch::ZERO);
     for i in 0..10i64 {
         live.insert(vec![Value::Int(1_000 + i), Value::str("pre")])
@@ -293,20 +310,25 @@ fn recovery_resumes_the_epoch_clock() {
             .unwrap();
     }
 
-    let (recovered, summary) =
-        LiveRelation::recover(&catalog, "clock", &live.pending_log()).unwrap();
+    assert_eq!(live.lsn_of_epoch(Epoch::new(15)), live.wal().next_lsn());
+    drop(live); // crash
+
+    let recovered = recover(&dir, &catalog, "clock");
+    let summary = recovered.recovery_summary().unwrap();
     assert_eq!(summary.epoch, Epoch::new(15));
+    assert_eq!(summary.lsn, 15);
     assert_eq!(recovered.current_epoch(), Epoch::new(15));
 
-    // Both nodes stamp the next update identically.
-    live.insert(vec![Value::Int(3_000), Value::str("next")])
-        .unwrap();
+    // The recovered node stamps the next update as the crashed one
+    // would have: the next epoch, at the next LSN.
     recovered
         .insert(vec![Value::Int(3_000), Value::str("next")])
         .unwrap();
-    assert_eq!(recovered.current_epoch(), live.current_epoch());
     assert_eq!(recovered.current_epoch(), Epoch::new(16));
-    std::fs::remove_dir_all(&dir).unwrap();
+    assert_eq!(
+        recovered.epoch_of_lsn(recovered.wal().next_lsn()),
+        Epoch::new(16)
+    );
 }
 
 /// Reconstruct the exact database instance a pinned batch saw: epoch `E`
@@ -400,30 +422,24 @@ proptest! {
 
 proptest! {
     /// Churn property: a random interleaving of insert / delete /
-    /// checkpoint / recover / query on a `LiveRelation` agrees with a
-    /// `Vec`-backed oracle on answers, global row ids, and boundedness
-    /// records. Ops are applied to whichever instance is "current" —
-    /// after a recover, the *recovered* node becomes current, so the
-    /// property also proves recovery is a seamless continuation point.
+    /// checkpoint / crash+recover / query on a durable node agrees with
+    /// a `Vec`-backed oracle on answers, global row ids, the epoch clock
+    /// and boundedness records. Ops are applied to whichever instance is
+    /// "current" — after a recover, the *recovered* node becomes current,
+    /// so the property also proves recovery is a seamless continuation
+    /// point.
     #[test]
     fn live_churn_matches_vec_oracle(
         seed_rows in 0i64..12,
         ops in prop::collection::vec((0u8..5, 0i64..64, 0usize..96), 0..60)
     ) {
-        let dir = fresh_dir("churn");
-        let catalog = SnapshotCatalog::open(&dir).unwrap();
-        let mut live = LiveRelation::build(
-            &base_relation(seed_rows),
-            ShardBy::Hash { col: 0 },
-            3,
-            &[0, 1],
-        )
-        .unwrap();
+        let dir = TempDir::new("live-it-churn");
+        let catalog = SnapshotCatalog::open(dir.join("snaps")).unwrap();
+        let mut live = durable(&dir, &catalog, "churn", &base_relation(seed_rows), 3);
         // The oracle: gid -> slot, exactly the logical id space.
         let mut model: Vec<Option<Vec<Value>>> = (0..seed_rows)
             .map(|i| Some(vec![Value::Int(i), Value::str(format!("grp{}", i % 16))]))
             .collect();
-        let mut checkpointed = false;
 
         for (op, key, pick) in ops {
             match op {
@@ -440,33 +456,43 @@ proptest! {
                     let expect = model[gid].take();
                     prop_assert_eq!(live.delete(gid).unwrap(), expect, "delete gid {}", gid);
                 }
-                // Checkpoint: persists and truncates the pending log.
+                // Checkpoint: moves the WAL mark to the current epoch.
                 2 => {
                     live.checkpoint(&catalog, "churn").unwrap();
-                    prop_assert!(live.pending_log().is_empty());
-                    checkpointed = true;
+                    prop_assert_eq!(
+                        live.checkpoint_mark(),
+                        live.lsn_of_epoch(live.current_epoch())
+                    );
+                    prop_assert!(live.pending_log().is_empty(), "the WAL is the only log");
                 }
-                // Recover: replaces the current node; must be identical.
-                3 if checkpointed => {
-                    let pending = live.pending_log();
-                    let (recovered, summary) =
-                        LiveRelation::recover(&catalog, "churn", &pending).unwrap();
-                    prop_assert_eq!(recovered.len(), live.len());
-                    prop_assert_eq!(summary.epoch, live.current_epoch());
-                    // Recovery replays the *compacted* pending log: one
+                // Crash + recover: the recovered node replaces the
+                // current one and must be identical.
+                3 => {
+                    let (len, epoch) = (live.len(), live.current_epoch());
+                    drop(live);
+                    live = DurableLiveRelation::recover(
+                        &catalog,
+                        "churn",
+                        dir.join("wal"),
+                        unsynced(),
+                    )
+                    .unwrap();
+                    let summary = live.recovery_summary().unwrap();
+                    prop_assert_eq!(live.len(), len);
+                    prop_assert_eq!(summary.epoch, epoch);
+                    prop_assert_eq!(live.current_epoch(), epoch);
+                    // Recovery replays the *compacted* WAL tail: one
                     // maintenance record per surviving entry (work may
                     // differ from the original history's — a cancelled
                     // pair's row briefly inflated the shard a survivor
                     // descended into — but the |CHANGED| components are
                     // pinned per update kind).
-                    let compacted = pending.compact();
-                    let recovered_report = recovered.boundedness_report();
-                    prop_assert_eq!(recovered_report.len(), compacted.len());
+                    let recovered_report = live.boundedness_report();
+                    prop_assert_eq!(recovered_report.len(), summary.replayed);
                     for r in recovered_report.records() {
                         prop_assert_eq!(r.delta_input, 1);
                         prop_assert_eq!(r.delta_output, 3, "1 tuple + 2 indexed columns");
                     }
-                    live = recovered;
                 }
                 // Query: answers and global row ids against the model.
                 _ => {
@@ -497,6 +523,5 @@ proptest! {
             prop_assert_eq!(&live.row(gid), slot, "gid {}", gid);
         }
         prop_assert!(live.boundedness_report().is_amortized_bounded(64.0));
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -164,8 +164,7 @@ fn worker_panic_is_typed_and_the_session_keeps_serving() {
 #[test]
 fn apply_batch_through_the_session_is_durable_and_recovers() {
     let n = 500i64;
-    let root = std::env::temp_dir().join(format!("pitract-poolit-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&root);
+    let root = TempDir::new("poolit");
     let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog dir");
     let wal_dir = root.join("wal");
     let config = WalConfig {
@@ -206,5 +205,4 @@ fn apply_batch_through_the_session_is_durable_and_recovers() {
     for (gid, expect) in expected.iter().enumerate() {
         assert_eq!(&recovered.row(gid), expect, "gid {gid}");
     }
-    let _ = std::fs::remove_dir_all(&root);
 }

@@ -9,20 +9,8 @@
 //! export.
 
 use pi_tractable::prelude::*;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::Path;
 use std::sync::Arc;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-replication-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn config() -> WalConfig {
     // Tiny segments so every test exercises rotation and multi-segment
@@ -63,7 +51,9 @@ fn oracle_at(catalog: &SnapshotCatalog, root: &Path, below_lsn: u64) -> LiveRela
         .filter(|r| r.lsn >= mark && r.lsn < below_lsn)
         .map(|r| r.entry.clone())
         .collect();
-    oracle.replay_entries(&entries).expect("oracle replay");
+    oracle
+        .replay_compacted(&UpdateLog::from_entries(entries))
+        .expect("oracle replay");
     oracle.advance_epoch_to(Epoch::new(cut.get() + (below_lsn.max(mark) - mark)));
     oracle
 }
@@ -96,7 +86,7 @@ fn assert_bit_identical(follower: &Follower, oracle: &LiveRelation, probes: i64,
 /// state bit-identical to the primary.
 #[test]
 fn follower_under_racing_writers_serves_consistent_prefixes() {
-    let root = fresh_dir("racing");
+    let root = TempDir::new("replication-racing");
     let (node, catalog) = primary(&root, 50);
     let recorder = Recorder::new();
     let publisher = SegmentPublisher::new_observed(Arc::clone(&node), &recorder);
@@ -168,7 +158,6 @@ fn follower_under_racing_writers_serves_consistent_prefixes() {
     );
     assert!(text.contains("repl_segments_shipped_total"), "{text}");
     assert!(text.contains("repl_replay_micros"), "{text}");
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// A follower stopped mid-stream is exact, not approximately caught up:
@@ -176,7 +165,7 @@ fn follower_under_racing_writers_serves_consistent_prefixes() {
 /// its applied LSN.
 #[test]
 fn partial_catch_up_is_an_exact_prefix() {
-    let root = fresh_dir("prefix");
+    let root = TempDir::new("replication-prefix");
     let (node, catalog) = primary(&root, 10);
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     let follower =
@@ -216,7 +205,6 @@ fn partial_catch_up_is_an_exact_prefix() {
     let report = follower.catch_up(&publisher, sub).expect("drain");
     assert_eq!(report.lag, 0);
     assert_eq!(follower.len(), node.len());
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The retention watermark closes the compaction/replication race: a
@@ -225,7 +213,7 @@ fn partial_catch_up_is_an_exact_prefix() {
 /// compaction pass really does reclaim the segments nobody needs.
 #[test]
 fn slow_follower_survives_a_primary_compaction_cycle() {
-    let root = fresh_dir("retention");
+    let root = TempDir::new("replication-retention");
     let (node, catalog) = primary(&root, 0);
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     let follower =
@@ -284,7 +272,6 @@ fn slow_follower_survives_a_primary_compaction_cycle() {
     let after = publisher.compact_primary().expect("compact unretained");
     assert_eq!(publisher.retention_watermark(), None);
     assert!(after.segments_removed > 0, "{after:?}");
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// A fetch below the publisher's compaction floor is a typed staleness
@@ -292,7 +279,7 @@ fn slow_follower_survives_a_primary_compaction_cycle() {
 /// re-bootstrap.
 #[test]
 fn late_attachment_below_the_floor_is_typed_stale() {
-    let root = fresh_dir("stale");
+    let root = TempDir::new("replication-stale");
     let (node, catalog) = primary(&root, 0);
     let publisher = SegmentPublisher::new(Arc::clone(&node));
     for i in 0..20i64 {
@@ -317,5 +304,4 @@ fn late_attachment_below_the_floor_is_typed_stale() {
     assert_eq!(report.lag, 0);
     let q = SelectionQuery::point(0, 777i64);
     assert_eq!(follower.matching_ids(&q), node.matching_ids(&q));
-    std::fs::remove_dir_all(&root).unwrap();
 }

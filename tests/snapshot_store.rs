@@ -13,13 +13,6 @@ use pi_tractable::graph::hop::HopLabels;
 use pi_tractable::graph::traverse::reachable_bfs;
 use pi_tractable::prelude::*;
 use pi_tractable::store::FORMAT_VERSION;
-use std::path::PathBuf;
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("pitract-it-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
 
 fn relation(n: i64) -> Relation {
     let schema = Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)]);
@@ -59,7 +52,7 @@ fn churn(sr: &mut ShardedRelation, n: i64) {
 fn sharded_snapshot_serves_identically_to_cold_rebuild() {
     let n = 20_000i64;
     let rel = relation(n);
-    let dir = fresh_dir("sharded");
+    let dir = TempDir::new("it-sharded");
     let catalog = SnapshotCatalog::open(&dir).unwrap();
 
     for (name, shard_by) in [
@@ -96,7 +89,6 @@ fn sharded_snapshot_serves_identically_to_cold_rebuild() {
         assert_eq!(warm_bools.answers, cold_bools.answers, "{name}");
     }
     assert_eq!(catalog.list().unwrap(), vec!["hash", "range"]);
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -132,7 +124,7 @@ fn indexed_snapshot_matches_cold_rebuild() {
 fn hop_labels_snapshot_matches_bfs_oracle() {
     let g = generate::random_dag(300, 900, 42);
     let built = HopLabels::build(&g).unwrap();
-    let dir = fresh_dir("hop");
+    let dir = TempDir::new("it-hop");
     let catalog = SnapshotCatalog::open(&dir).unwrap();
     catalog.save("reach", &Snapshot::Hop(built)).unwrap();
     assert_eq!(catalog.kind_of("reach").unwrap(), SnapshotKind::HopLabels);
@@ -143,7 +135,6 @@ fn hop_labels_snapshot_matches_bfs_oracle() {
             assert_eq!(warm.query(u, v), reachable_bfs(&g, u, v), "({u},{v})");
         }
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -185,7 +176,7 @@ fn damaged_files_fail_typed_never_panic() {
 
 #[test]
 fn wrong_kind_is_reported_not_coerced() {
-    let dir = fresh_dir("kinds");
+    let dir = TempDir::new("it-kinds");
     let catalog = SnapshotCatalog::open(&dir).unwrap();
     let ir = IndexedRelation::build(&relation(50), &[0]).unwrap();
     catalog.save("rel", &Snapshot::Indexed(ir)).unwrap();
@@ -196,5 +187,4 @@ fn wrong_kind_is_reported_not_coerced() {
         }
         other => panic!("expected WrongKind, got {other:?}"),
     }
-    std::fs::remove_dir_all(&dir).unwrap();
 }

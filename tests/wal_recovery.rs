@@ -5,19 +5,7 @@
 
 use pi_tractable::prelude::*;
 use pi_tractable::wal::segment::{scan_dir, RECORD_OVERHEAD, SEGMENT_HEADER_LEN};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-
-fn fresh_dir(tag: &str) -> PathBuf {
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "pitract-walrec-{tag}-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+use std::path::Path;
 
 fn schema() -> Schema {
     Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)])
@@ -74,7 +62,7 @@ fn copy_dir(from: &Path, to: &Path) {
 /// — and compacting the truncated log first must change nothing.
 #[test]
 fn every_truncation_point_recovers_the_confirmed_prefix() {
-    let root = fresh_dir("everycut");
+    let root = TempDir::new("walrec-everycut");
     let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
     let wal_dir = root.join("wal");
     let config = WalConfig {
@@ -202,7 +190,6 @@ fn every_truncation_point_recovers_the_confirmed_prefix() {
             assert_same_state(&after, &oracle, 150, &format!("cut {cut} compacted"));
         }
     }
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// End-to-end durable serving loop: create → serve under concurrent
@@ -211,7 +198,7 @@ fn every_truncation_point_recovers_the_confirmed_prefix() {
 /// sequences), with compaction bounding the on-disk log.
 #[test]
 fn durable_serving_loop_survives_crash_and_compaction() {
-    let root = fresh_dir("loop");
+    let root = TempDir::new("walrec-loop");
     let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
     let wal_dir = root.join("wal");
     let config = WalConfig {
@@ -299,14 +286,13 @@ fn durable_serving_loop_survives_crash_and_compaction() {
         .insert(vec![Value::Int(999_999), Value::str("alive")])
         .unwrap();
     assert!(node.row(gid).is_some());
-    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// The no-WAL and durable nodes agree observably under the same update
 /// stream — durability must be a pure overlay, never a semantic change.
 #[test]
 fn durable_node_serves_identically_to_plain_live_relation() {
-    let root = fresh_dir("overlay");
+    let root = TempDir::new("walrec-overlay");
     let catalog = SnapshotCatalog::open(root.join("snaps")).unwrap();
     let plain = base_live(300);
     let durable = DurableLiveRelation::create(
@@ -335,5 +321,4 @@ fn durable_node_serves_identically_to_plain_live_relation() {
         durable.boundedness_report().records(),
         "maintenance accounting identical"
     );
-    std::fs::remove_dir_all(&root).unwrap();
 }
