@@ -270,11 +270,13 @@ fn statement_has_marker_before(tokens: &[Token], i: usize) -> bool {
     (start..i).any(|j| any_marker_at(tokens, j))
 }
 
-/// `no-bare-thread-spawn`: long-lived workers go through `WorkerPool`
-/// (named threads, admission, panic containment, drain-on-drop) — not
-/// `thread::spawn` or a raw `thread::Builder`. Scoped fan-out
-/// (`thread::scope` + `scope.spawn`) is fine: scoped threads cannot
-/// leak past their batch.
+/// `no-bare-thread-spawn`: library code runs work inline or on the
+/// `WorkerPool` (named threads, admission, panic containment,
+/// drain-on-drop) — not on `thread::spawn`, a raw `thread::Builder`, or
+/// a `thread::scope` fan-out. Scoped threads cannot leak past their
+/// call, but a per-call fan-out is a second executor with its own spawn
+/// tax and panic handling; the batch routine already runs shard jobs
+/// inline or pooled.
 pub struct NoBareThreadSpawn;
 
 impl Rule for NoBareThreadSpawn {
@@ -288,20 +290,22 @@ impl Rule for NoBareThreadSpawn {
         }
         let tokens = &file.tokens;
         for i in 0..tokens.len() {
-            if file.test_mask[i] || !tokens[i].is_ident("spawn") {
+            let scoped = tokens[i].is_ident("scope");
+            if file.test_mask[i] || !(scoped || tokens[i].is_ident("spawn")) {
                 continue;
             }
             if tokens.get(i + 1).is_none_or(|t| !t.is_punct('(')) {
                 continue;
             }
-            // `thread::spawn(…)`.
+            // `thread::spawn(…)` or `thread::scope(…)`.
             let path_spawn = i >= 3
                 && tokens[i - 1].is_punct(':')
                 && tokens[i - 2].is_punct(':')
                 && tokens[i - 3].is_ident("thread");
             // `thread::Builder::new()…spawn(…)`: a builder mentioned a
             // few tokens back in the same expression chain.
-            let builder_spawn = i >= 1
+            let builder_spawn = !scoped
+                && i >= 1
                 && tokens[i - 1].is_punct('.')
                 && tokens[i.saturating_sub(40)..i]
                     .iter()
@@ -311,8 +315,8 @@ impl Rule for NoBareThreadSpawn {
                     rule: self.name(),
                     path: file.rel_path.clone(),
                     line: tokens[i].line,
-                    message: "bare thread spawn — route workers through `WorkerPool` \
-                              (or use scoped threads for per-batch fan-out)"
+                    message: "bare thread spawn or scoped fan-out — run the work inline or \
+                              on the `WorkerPool`"
                         .to_string(),
                 });
             }

@@ -113,13 +113,40 @@ fn spawn_fixture_fires_on_path_and_builder_spawns() {
     let fired = rules_fired(&report);
     assert_eq!(
         fired,
-        vec!["no-bare-thread-spawn", "no-bare-thread-spawn"],
+        vec![
+            "no-bare-thread-spawn",
+            "no-bare-thread-spawn",
+            "no-bare-thread-spawn"
+        ],
         "{report}"
     );
+    // The third finding is the scoped fan-out, on its `thread::scope`
+    // line — not on the `scope.spawn` inside it.
+    let lines: Vec<u32> = report.findings.iter().map(|f| f.line).collect();
+    assert_eq!(lines, vec![7, 11, 17], "{report}");
 }
 
 #[test]
-fn spawn_clean_fixture_allows_scoped_fanout_and_the_pool() {
+fn spawn_rule_covers_every_library_crate_but_not_tests() {
+    let fanout = "pub fn f() { std::thread::scope(|s| { s.spawn(|| {}); }); }\n";
+    for (crate_name, kind, path, expected) in [
+        ("pitract-bench", FileKind::Lib, "src/fixture.rs", 1),
+        ("pitract-engine", FileKind::Lib, "src/fixture.rs", 1),
+        ("pitract-engine", FileKind::Test, "tests/fixture.rs", 0),
+        ("pitract-bench", FileKind::Bench, "benches/fixture.rs", 0),
+    ] {
+        let file = SourceFile::from_source(crate_name, path, kind, fanout);
+        let report = run_rules(&[file], &default_rules());
+        assert_eq!(
+            report.findings.len(),
+            expected,
+            "{crate_name} {path}: {report}"
+        );
+    }
+}
+
+#[test]
+fn spawn_clean_fixture_allows_only_the_pool() {
     let report = lint("pitract-engine", include_str!("../fixtures/spawn_clean.rs"));
     assert!(report.is_clean(), "{report}");
     assert_eq!(report.suppressed, 1, "the pool's spawn point was excused");

@@ -1,62 +1,21 @@
-//! Wall-clock benchmarks for the pooled executor, plus the
-//! machine-readable perf artifact.
+//! The pooled executor's perf artifact: one measurement path.
 //!
-//! Besides the criterion group, every run (including the CI `--test`
-//! smoke) serializes the shard-count → scoped-vs-pooled throughput
-//! comparison to `BENCH_pool.json` (default `BENCH_pool.json` in the
+//! Every run (including the CI `--test` smoke) measures the E19 sweep —
+//! shard count → inline-vs-pooled throughput on one workload — and
+//! serializes it to `BENCH_pool.json` (default `BENCH_pool.json` in the
 //! repository root; override with the `BENCH_POOL_JSON` env var), next
 //! to the engine/store/live/wal artifacts, so future PRs can diff what
-//! the persistent worker pool buys over per-batch thread spawning.
+//! running a batch's shard jobs in parallel on a standing pool buys
+//! over running them inline.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion};
 use pitract_bench::artifact::{available_parallelism, experiment, rounded, write_artifact};
 use pitract_bench::experiments::{pool_scaling_sweep, PoolSample, POOL_BATCH_QUERIES};
-use pitract_engine::batch::QueryBatch;
-use pitract_engine::shard::{ShardBy, ShardedRelation};
-use pitract_engine::PooledExecutor;
-use pitract_relation::{ColType, Relation, Schema, SelectionQuery, Value};
-use std::hint::black_box;
-use std::sync::Arc;
 
 const ROWS: i64 = 1 << 16;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// Criterion group: one mixed batch through a warm pooled executor at
-/// each shard count (worker spin-up is paid once, outside the timer —
-/// that is the pool's whole point).
-fn bench_pooled_batch(c: &mut Criterion) {
-    let schema = Schema::new(&[("id", ColType::Int), ("grp", ColType::Str)]);
-    let rows: Vec<Vec<Value>> = (0..ROWS)
-        .map(|i| vec![Value::Int(i), Value::str(format!("grp{}", i % 64))])
-        .collect();
-    let rel = Relation::from_rows(schema, rows).expect("valid rows");
-    let batch = QueryBatch::new((0..256i64).map(|k| match k % 3 {
-        0 => SelectionQuery::point(0, (k * 997) % ROWS),
-        1 => {
-            let lo = (k * 641) % ROWS;
-            SelectionQuery::range_closed(0, lo, lo + 200)
-        }
-        _ => SelectionQuery::and(
-            SelectionQuery::point(1, format!("grp{}", k % 64).as_str()),
-            SelectionQuery::range_closed(0, (k * 331) % ROWS, (k * 331) % ROWS + 2_000),
-        ),
-    }));
-
-    let mut group = c.benchmark_group("e19_pooled_batch");
-    for &shards in &SHARD_COUNTS {
-        let sharded = Arc::new(
-            ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, shards, &[0, 1])
-                .expect("valid sharding spec"),
-        );
-        let exec = PooledExecutor::with_default_pool(sharded);
-        group.bench_with_input(BenchmarkId::new("mixed_batch", shards), &shards, |b, _| {
-            b.iter(|| black_box(&exec).execute(black_box(&batch)).unwrap())
-        });
-    }
-    group.finish();
-}
-
-/// Measure the scoped-vs-pooled sweep once and write the JSON artifact.
+/// Measure the inline-vs-pooled sweep once and write the JSON artifact.
 fn emit_bench_pool_json(c: &mut Criterion) {
     // Best-of-3 per executor per shard count: cheap enough for the
     // `--test` smoke, stable enough that the scaling curve isn't one
@@ -80,8 +39,8 @@ fn write_json(path: &str, samples: &[PoolSample]) -> std::io::Result<()> {
             pitract_obs::Json::obj()
                 .set("shards", s.shards)
                 .set("workers", s.workers)
-                .set("scoped_seconds", rounded(s.scoped_seconds, 6))
-                .set("scoped_qps", rounded(s.scoped_qps, 1))
+                .set("inline_seconds", rounded(s.inline_seconds, 6))
+                .set("inline_qps", rounded(s.inline_qps, 1))
                 .set("pooled_seconds", rounded(s.pooled_seconds, 6))
                 .set("pooled_qps", rounded(s.pooled_qps, 1))
         })
@@ -94,5 +53,5 @@ fn write_json(path: &str, samples: &[PoolSample]) -> std::io::Result<()> {
     write_artifact(path, &doc)
 }
 
-criterion_group!(benches, bench_pooled_batch, emit_bench_pool_json);
+criterion_group!(benches, emit_bench_pool_json);
 criterion_main!(benches);

@@ -1,9 +1,13 @@
-//! Experiment E15: sharded batch serving — the NC claim with real threads.
+//! Experiment E15: sharded batch serving — work and wall time per shard
+//! count.
 //!
 //! The step-metered experiments certify the polylog *work* of every query;
-//! this one exercises the parallel dimension: one batch of mixed
-//! point/range/conjunction queries fanned out across 1/2/4/8 shards on
-//! scoped threads, wall-clock timed, and verified against the scan oracle.
+//! this one puts the sharded layout on the clock: one batch of mixed
+//! point/range/conjunction queries routed across 1/2/4/8 shards,
+//! wall-clock timed, and verified against the scan oracle. The batch runs
+//! inline — the caller's thread answers the shard jobs one after another
+//! — so the curve isolates what sharding does to routing and metered
+//! work. Running the same jobs in parallel is E19's pooled column.
 //!
 //! The same sweep backs the `sharding` bench target, which serializes the
 //! shard-count → throughput curve to `BENCH_engine.json` so CI keeps a
@@ -109,7 +113,7 @@ pub fn run_e15() -> Table {
     Table {
         id: "E15",
         title: "sharded batch serving: 512 mixed queries across S shards (engine)",
-        paper_claim: "after PTIME Π(D), queries answer in NC — parallel across shards/threads",
+        paper_claim: "after PTIME Π(D), queries answer in NC — polylog work on every shard",
         headers: ["shards", "batch ms", "queries/s", "speedup", "total steps"]
             .map(String::from)
             .to_vec(),

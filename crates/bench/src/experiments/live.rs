@@ -83,6 +83,7 @@ pub fn live_throughput_sweep(n: i64, writer_counts: &[usize], reps: usize) -> Ve
                 .expect("valid sharding spec");
             let stop = AtomicBool::new(false);
             let t_run = Instant::now();
+            // lint:allow(no-bare-thread-spawn): load generator — writers racing the measured reads, not a batch executor
             let (best, applied) = std::thread::scope(|scope| {
                 let handles: Vec<_> = (0..writers)
                     .map(|w| {

@@ -9,13 +9,13 @@
 //! `execute_read_committed` path, which reads each shard's freshest
 //! state and offers no cross-shard consistency?
 //!
-//! Both paths are measured through the same scoped shard fan-out and
+//! Both paths are measured through the same inline batch routine and
 //! the batches interleave (pinned, read-committed, pinned, ...), so the
 //! two series face the same writer-activity regimes and the measured
 //! delta is the pin alone — pooled-executor dispatch cost is the pool
 //! experiment's question, not this one's. The pooled path still
 //! participates: its warm-up answers are checked against the scan
-//! oracle at zero writers, alongside the scoped paths.
+//! oracle at zero writers, alongside the inline paths.
 //!
 //! This experiment serves the same mixed batch both ways at 0, 1 and 4
 //! racing writers, reporting p50/p99 per-batch latency side by side plus
@@ -112,7 +112,7 @@ pub fn mvcc_serving_sweep(n: i64, writer_counts: &[usize], batches: usize) -> Ve
                 LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, MVCC_SHARDS, &[0, 1])
                     .expect("valid sharding spec"),
             );
-            // Warm both scoped paths outside the timer; the pooled
+            // Warm both inline paths outside the timer; the pooled
             // executor's pinned answers are cross-checked against the
             // scan oracle here too, then the pool stands down (its
             // dispatch cost is the pool experiment's subject).
@@ -129,6 +129,7 @@ pub fn mvcc_serving_sweep(n: i64, writer_counts: &[usize], batches: usize) -> Ve
             let stop = AtomicBool::new(false);
             let (mut pinned, mut read_committed) = (Vec::new(), Vec::new());
             let (mut max_versions, mut max_slots) = (0usize, 0usize);
+            // lint:allow(no-bare-thread-spawn): load generator — writers racing the measured reads, not a batch executor
             std::thread::scope(|scope| {
                 for w in 0..writers {
                     let live = Arc::clone(&live);

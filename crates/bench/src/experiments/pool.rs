@@ -1,14 +1,14 @@
-//! Experiment E19: the persistent worker pool vs per-batch scoped
-//! threads.
+//! Experiment E19: inline vs pooled serving of the same batch.
 //!
-//! The scoped executor ([`QueryBatch::execute`]) spawns and joins one
-//! thread per routed shard for *every* batch — correct, but the
-//! spawn/join tax is paid on the serving path. The pooled executor
-//! ([`pitract_engine::PooledExecutor`]) spawns its workers once per
-//! serving session and feeds batches to them as per-shard work items
-//! over a channel. This experiment runs the same mixed batch through
-//! both executors across 1/2/4/8 shards, verifies every answer against
-//! the scan oracle, and reports the throughput side by side.
+//! Every batch runs the same route → pin → run → merge routine; the two
+//! serving paths differ only in who runs the per-shard jobs. Inline
+//! ([`QueryBatch::execute`]) the caller's thread runs them one after
+//! another. The pooled executor ([`pitract_engine::PooledExecutor`])
+//! spawns its workers once per serving session and feeds them the jobs
+//! over a channel, so a batch's shards are answered in parallel. This
+//! experiment runs the same mixed batch both ways across 1/2/4/8
+//! shards, verifies every answer against the scan oracle, and reports
+//! the throughput side by side.
 //!
 //! The same sweep backs the `pool` bench target, which serializes the
 //! curve to `BENCH_pool.json` next to the other perf artifacts.
@@ -32,10 +32,10 @@ pub struct PoolSample {
     pub shards: usize,
     /// Workers the pooled executor sized itself to for this S.
     pub workers: usize,
-    /// Best wall-clock seconds for one batch on the scoped executor.
-    pub scoped_seconds: f64,
-    /// Queries per second on the scoped executor.
-    pub scoped_qps: f64,
+    /// Best wall-clock seconds for one batch served inline.
+    pub inline_seconds: f64,
+    /// Queries per second served inline.
+    pub inline_qps: f64,
     /// Best wall-clock seconds for one batch on the pooled executor.
     pub pooled_seconds: f64,
     /// Queries per second on the pooled executor.
@@ -65,7 +65,7 @@ fn workload(n: i64) -> (Relation, QueryBatch) {
 
 /// Run the executor comparison on an `n`-row relation with `reps` timed
 /// repetitions per shard count (best-of), verifying every batch —
-/// scoped and pooled — against the scan oracle. Shared by E19 and the
+/// inline and pooled — against the scan oracle. Shared by E19 and the
 /// `pool` bench target.
 pub fn pool_scaling_sweep(n: i64, shard_counts: &[usize], reps: usize) -> Vec<PoolSample> {
     let (rel, batch) = workload(n);
@@ -77,12 +77,12 @@ pub fn pool_scaling_sweep(n: i64, shard_counts: &[usize], reps: usize) -> Vec<Po
                 ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, shards, &[0, 1])
                     .expect("valid sharding spec"),
             );
-            let mut scoped_seconds = f64::MAX;
+            let mut inline_seconds = f64::MAX;
             for _ in 0..reps.max(1) {
                 let t0 = Instant::now();
                 let result = batch.execute(&sharded).expect("valid batch");
-                scoped_seconds = scoped_seconds.min(t0.elapsed().as_secs_f64());
-                assert_eq!(result.answers, oracle, "scoped S={shards} diverged");
+                inline_seconds = inline_seconds.min(t0.elapsed().as_secs_f64());
+                assert_eq!(result.answers, oracle, "inline S={shards} diverged");
             }
 
             let exec = PooledExecutor::with_default_pool(Arc::clone(&sharded));
@@ -102,8 +102,8 @@ pub fn pool_scaling_sweep(n: i64, shard_counts: &[usize], reps: usize) -> Vec<Po
             PoolSample {
                 shards,
                 workers,
-                scoped_seconds,
-                scoped_qps: batch.len() as f64 / scoped_seconds,
+                inline_seconds,
+                inline_qps: batch.len() as f64 / inline_seconds,
                 pooled_seconds,
                 pooled_qps: batch.len() as f64 / pooled_seconds,
             }
@@ -111,7 +111,7 @@ pub fn pool_scaling_sweep(n: i64, shard_counts: &[usize], reps: usize) -> Vec<Po
         .collect()
 }
 
-/// E19 — pooled vs scoped execution: throughput across 1/2/4/8 shards.
+/// E19 — inline vs pooled serving: throughput across 1/2/4/8 shards.
 pub fn run_e19() -> Table {
     let samples = pool_scaling_sweep(1 << 16, &[1, 2, 4, 8], 3);
     let rows = samples
@@ -120,9 +120,9 @@ pub fn run_e19() -> Table {
             vec![
                 fmt_u64(s.shards as u64),
                 fmt_u64(s.workers as u64),
-                fmt_u64(s.scoped_qps as u64),
+                fmt_u64(s.inline_qps as u64),
                 fmt_u64(s.pooled_qps as u64),
-                format!("{:.2}x", s.pooled_qps / s.scoped_qps),
+                format!("{:.2}x", s.pooled_qps / s.inline_qps),
             ]
         })
         .collect();
@@ -133,21 +133,21 @@ pub fn run_e19() -> Table {
         .expect("non-empty sweep");
     Table {
         id: "E19",
-        title: "persistent worker pool vs per-batch scoped threads (engine)",
+        title: "persistent worker pool vs inline serving (engine)",
         paper_claim: "NC serving is a session, not a query: spawn workers once, stream batches",
         headers: [
             "shards",
             "workers",
-            "scoped q/s",
+            "inline q/s",
             "pooled q/s",
-            "pooled/scoped",
+            "pooled/inline",
         ]
         .map(String::from)
         .to_vec(),
         rows,
         verdict: format!(
             "pooled executor peaks at S={} ({} q/s) on {cores} core(s); every batch on both \
-             executors verified against the scan oracle",
+             paths verified against the scan oracle",
             best.shards, best.pooled_qps as u64
         ),
     }
@@ -163,7 +163,7 @@ mod tests {
         let samples = pool_scaling_sweep(2_000, &[1, 2, 4], 1);
         assert_eq!(samples.len(), 3);
         for s in &samples {
-            assert!(s.scoped_qps > 0.0);
+            assert!(s.inline_qps > 0.0);
             assert!(s.pooled_qps > 0.0);
             assert!(s.workers >= 1 && s.workers <= s.shards);
         }

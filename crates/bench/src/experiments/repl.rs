@@ -190,6 +190,7 @@ pub fn repl_serving_sweep(
             let mut follower_qps = 0.0f64;
             let done = std::sync::atomic::AtomicBool::new(false);
             let done = &done;
+            // lint:allow(no-bare-thread-spawn): load generator — writers racing the measured reads, not a batch executor
             std::thread::scope(|scope| {
                 for w in 0..writers {
                     let node = Arc::clone(&node);

@@ -84,6 +84,7 @@ fn base_live(n: i64) -> LiveRelation {
 /// `per_writer` rows and deleting every other one — to `node` (any
 /// target that derefs to a `LiveRelation`).
 fn churn(node: &LiveRelation, n: i64, per_writer: i64) -> u64 {
+    // lint:allow(no-bare-thread-spawn): load generator — writers racing the measured reads, not a batch executor
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WAL_WRITERS as i64)
             .map(|w| {
@@ -113,6 +114,7 @@ fn churn(node: &LiveRelation, n: i64, per_writer: i64) -> u64 {
 /// fsyncs once at the end, so the fsync count drops from one per
 /// commit-group to one per batch.
 fn churn_batched(node: &LiveRelation, n: i64, per_writer: i64) -> u64 {
+    // lint:allow(no-bare-thread-spawn): load generator — writers racing the measured reads, not a batch executor
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WAL_WRITERS as i64)
             .map(|w| {

@@ -1,49 +1,63 @@
-//! Batched, multi-threaded query serving over a [`ShardedRelation`].
+//! Batched query serving: one routine for every target and every
+//! runner.
 //!
 //! A [`QueryBatch`] is the unit of traffic: many independent selection
-//! queries answered together. Execution fans out across shards with
-//! `std::thread::scope` — one worker per shard that any query routes to —
-//! and each worker answers its slice of the batch against its shard with
-//! a thread-local [`Meter`] (the meter is deliberately not shared: the
-//! paper's NC bound is per processor, so each shard accounts its own
-//! steps). The per-shard results are then merged: Boolean answers OR
-//! across shards, row-id answers union (translated to global ids), and
-//! per-query meters aggregate into a [`BatchReport`].
+//! queries answered together. Every batch — on a [`ShardedRelation`], a
+//! [`crate::live::LiveRelation`], a replica or a durable node, served
+//! inline or by a [`PooledExecutor`] — goes through the same steps, once:
 //!
-//! Shard routing happens before the fan-out: a query whose shard-key
-//! constraints prove most shards irrelevant is simply never shipped to
-//! them, so a well-partitioned point-lookup workload does O(1) shards of
-//! work per query while still spreading the batch across all shards.
+//! 1. route and validate every query against the target's
+//!    [`BatchServe::route`]: a query whose shard-key constraints prove
+//!    most shards irrelevant is never shipped to them, so a
+//!    well-partitioned point-lookup workload does O(1) shards of work
+//!    per query;
+//! 2. pin one epoch for the whole batch (versioned targets only;
+//!    [`crate::live::LiveRelation::execute_read_committed`] skips it);
+//! 3. invert the routing into per-shard work lists;
+//! 4. run one job per touched shard, each with its own [`Meter`] — the
+//!    paper's NC bound is per processor, so each shard accounts its own
+//!    steps;
+//! 5. merge per query, carrying each result's shard id;
+//! 6. OR the Boolean answers or union the row ids (translated to global
+//!    ids), and aggregate the meters into a [`BatchReport`].
+//!
+//! Only step 4 differs between serving paths. Inline, the caller's
+//! thread runs the shard jobs in ascending shard order; pooled, they go
+//! to the session's persistent worker pool. Which thread runs a job
+//! changes the wall time, never the answers or the metered steps, and a
+//! panicking job is contained to its batch as
+//! [`EngineError::WorkerPanicked`] on both.
 
 use crate::error::EngineError;
+use crate::live::EpochPin;
 use crate::planner::{Planner, QueryPlan};
+use crate::pool::{BatchServe, PooledExecutor};
 use crate::shard::{relevant_shards_for, ShardBy, ShardedRelation};
 use pitract_core::cost::Meter;
 use pitract_core::epoch::Epoch;
 use pitract_relation::{Schema, SelectionQuery};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// A batch of Boolean selection queries to serve together.
 ///
 /// The queries live behind an `Arc` so that submitting the batch to a
-/// persistent [`crate::pool::PooledExecutor`] — whose workers outlive
-/// the borrow — shares them by reference count instead of cloning the
-/// whole batch per shard.
+/// persistent [`PooledExecutor`] — whose workers outlive the borrow —
+/// shares them by reference count instead of cloning the whole batch
+/// per shard.
 #[derive(Debug, Clone)]
 pub struct QueryBatch {
     queries: Arc<[SelectionQuery]>,
 }
 
-/// One shard worker's output: `(query index, result, metered steps)` per
-/// assigned query, in ascending query order. The worker-side currency
-/// shared by the scoped fan-out and the persistent
-/// [`crate::pool::PooledExecutor`].
+/// One shard job's output: `(query index, result, metered steps)` per
+/// assigned query, in ascending query order — what
+/// [`BatchServe::eval_bool`] and [`BatchServe::eval_rows`] return.
 pub type WorkerResults<T> = Vec<(usize, T, u64)>;
 
 /// The merge-side currency: per query, one `(shard, result, steps)`
-/// triple for every shard the query routed to. Both executors return
-/// this shape so they share the merge and report code.
+/// triple for every shard the query routed to.
 pub type MergedResults<T> = Vec<Vec<(usize, T, u64)>>;
 
 /// Per-query accounting in a batch report.
@@ -71,8 +85,8 @@ pub struct BatchReport {
     /// served) or the batch ran read-committed.
     pub epoch: Option<Epoch>,
     /// How long the batch waited at the pooled executor's admission
-    /// gate before running. `None` on the scoped (non-pooled) path,
-    /// which has no gate.
+    /// gate before running. `None` when the batch ran inline, which has
+    /// no gate.
     pub admission_wait: Option<Duration>,
 }
 
@@ -153,80 +167,129 @@ impl QueryBatch {
         self.queries.is_empty()
     }
 
-    /// Answer every query in the batch, fanning out across shards on
-    /// scoped threads. Returns answers in batch order plus the aggregated
-    /// cost report. Errors if any query fails schema validation, or with
-    /// [`EngineError::WorkerPanicked`] if a shard worker panics.
+    /// Answer every query in the batch inline, on the caller's thread.
+    /// Returns answers in batch order plus the aggregated cost report.
+    /// Errors if any query fails schema validation, or with
+    /// [`EngineError::WorkerPanicked`] if a shard job panics.
     pub fn execute(&self, relation: &ShardedRelation) -> Result<BatchAnswers, EngineError> {
-        let (plans, routed) = self.route(relation)?;
-        let merged = fan_out(relation.shard_count(), &routed, |s, assigned| {
-            eval_assigned(
-                &self.queries,
-                &relation.shards()[s],
-                assigned,
-                |sh, q, m| sh.answer_metered(q, m),
-            )
-        })?;
-        let mut answers = vec![false; self.queries.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            answers[qi] = per_shard.iter().any(|(_, hit, _)| *hit);
-        }
-        Ok(BatchAnswers {
-            answers,
-            report: report_from(plans, &routed, &merged),
-        })
+        Runner::Inline(relation).answers(self, true)
     }
 
     /// Enumerate the matching global row ids for every query in the
-    /// batch, fanning out across shards on scoped threads.
+    /// batch, inline on the caller's thread.
     pub fn execute_rows(&self, relation: &ShardedRelation) -> Result<BatchRows, EngineError> {
-        let (plans, routed) = self.route(relation)?;
-        let merged = fan_out(relation.shard_count(), &routed, |s, assigned| {
-            eval_assigned(
-                &self.queries,
-                &relation.shards()[s],
-                assigned,
-                |sh, q, m| sh.matching_ids_metered(q, m),
-            )
-        })?;
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); self.queries.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            // The shard id is carried in the merged triple itself — never
-            // inferred from the *position* within `routed[qi]`, which
-            // would silently mistranslate local ids if routing ever
-            // returned shards out of ascending order.
-            for (shard, locals, _) in per_shard {
-                rows[qi].extend(locals.iter().map(|&l| relation.global_id(*shard, l)));
-            }
-            rows[qi].sort_unstable();
-        }
-        Ok(BatchRows {
-            rows,
-            report: report_from(plans, &routed, &merged),
-        })
+        Runner::Inline(relation).rows(self)
+    }
+}
+
+/// Who runs a batch's shard jobs — the one step that differs between
+/// serving paths.
+pub(crate) enum Runner<'a, R: BatchServe + 'static> {
+    /// The caller's thread, in ascending shard order.
+    Inline(&'a R),
+    /// The session's worker pool, behind its admission gate.
+    Pooled(&'a PooledExecutor<R>),
+}
+
+impl<'a, R: BatchServe + 'static> Runner<'a, R> {
+    /// Boolean answers for every query. `pin` is false only for the
+    /// read-committed baseline.
+    pub(crate) fn answers(
+        self,
+        batch: &QueryBatch,
+        pin: bool,
+    ) -> Result<BatchAnswers, EngineError> {
+        let (merged, report) = self.serve(batch, pin, R::eval_bool)?;
+        let answers = merged
+            .iter()
+            .map(|per_shard| per_shard.iter().any(|(_, hit, _)| *hit))
+            .collect();
+        Ok(BatchAnswers { answers, report })
     }
 
-    /// Validate, plan, and shard-route every query.
-    fn route(
-        &self,
-        relation: &ShardedRelation,
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        route_batch(
-            &self.queries,
-            relation.schema(),
-            &relation.shards()[0].indexed_columns(),
-            relation.slot_count(),
-            relation.shard_by(),
-            relation.shard_count(),
-        )
+    /// Matching global row ids (ascending) for every query, at one
+    /// pinned epoch.
+    pub(crate) fn rows(self, batch: &QueryBatch) -> Result<BatchRows, EngineError> {
+        let relation = self.target();
+        let (merged, report) = self.serve(batch, true, R::eval_rows)?;
+        let rows = merged
+            .iter()
+            .map(|per_shard| {
+                // Translate through the shard id carried in each triple —
+                // never the position within the query's routed shard
+                // list, which nothing promises is ascending.
+                let mut ids: Vec<usize> = per_shard
+                    .iter()
+                    .flat_map(|(shard, locals, _)| relation.global_ids(*shard, locals))
+                    .collect();
+                ids.sort_unstable();
+                ids
+            })
+            .collect();
+        Ok(BatchRows { rows, report })
+    }
+
+    fn target(&self) -> &'a R {
+        match *self {
+            Runner::Inline(relation) => relation,
+            Runner::Pooled(exec) => exec.relation(),
+        }
+    }
+
+    /// The batch routine: route, pin, invert, run, merge, report.
+    fn serve<T, E>(
+        self,
+        batch: &QueryBatch,
+        pin: bool,
+        eval: E,
+    ) -> Result<(MergedResults<T>, BatchReport), EngineError>
+    where
+        T: Send + 'static,
+        E: Fn(&R, usize, Epoch, &[SelectionQuery], &[usize]) -> WorkerResults<T>
+            + Copy
+            + Send
+            + 'static,
+    {
+        let relation = self.target();
+        let (plans, routed) = relation.route(batch.queries())?;
+        // Admission strictly before the pin: a batch waiting at the
+        // gate must not force writers to retain versions for it.
+        let admitted = match self {
+            Runner::Inline(_) => None,
+            Runner::Pooled(exec) => Some((exec, exec.admit())),
+        };
+        let pinned = if pin { EpochPin::new(relation) } else { None };
+        let at = pinned.as_ref().map_or(Epoch::LATEST, EpochPin::epoch);
+        let work = invert(relation.shard_count(), &routed);
+        let per_shard = match self {
+            Runner::Inline(_) => work
+                .into_iter()
+                .map(|(shard, assigned)| {
+                    // Contain a panicking job to this batch, exactly as a
+                    // pool worker does.
+                    catch_unwind(AssertUnwindSafe(|| {
+                        (shard, eval(relation, shard, at, batch.queries(), &assigned))
+                    }))
+                    .map_err(|_| EngineError::WorkerPanicked { shard })
+                })
+                .collect::<Result<Vec<_>, _>>(),
+            Runner::Pooled(exec) => exec.run(batch, work, at, eval),
+        }?;
+        let merged = merge(&routed, per_shard);
+        let mut report = report_from(plans, &routed, &merged);
+        report.epoch = pinned.as_ref().map(EpochPin::epoch);
+        if let Some((exec, slot)) = &admitted {
+            report.admission_wait = Some(slot.waited);
+            exec.account(slot, &report);
+        }
+        Ok((merged, report))
     }
 }
 
 /// Validate, plan, and shard-route a slice of queries against a logical
 /// relation described by its schema, indexed columns, total slot count
 /// (live + tombstones — what a scan walks) and partitioning. Shared by
-/// [`QueryBatch`] and the live serving layer so the two plan and route
-/// identically.
+/// every [`BatchServe::route`] so all targets plan and route identically.
 pub(crate) fn route_batch(
     queries: &[SelectionQuery],
     schema: &Schema,
@@ -251,9 +314,8 @@ pub(crate) fn route_batch(
 /// Answer one shard's slice of a batch: every assigned query evaluated
 /// against `shard` with a per-query metered step count (the meter is
 /// reset around each query via `take`). The single worker-side metering
-/// protocol shared by [`QueryBatch::execute`], [`QueryBatch::execute_rows`]
-/// and the live layer's locked twins — the cost accounting cannot drift
-/// between them.
+/// protocol behind every `eval_*` implementation — the cost accounting
+/// cannot drift between targets.
 pub(crate) fn eval_assigned<T>(
     queries: &[SelectionQuery],
     shard: &pitract_relation::indexed::IndexedRelation,
@@ -271,84 +333,42 @@ pub(crate) fn eval_assigned<T>(
         .collect()
 }
 
-/// Run `eval_shard` for every shard that any query routes to, one scoped
-/// thread per such shard. `eval_shard(s, assigned)` must evaluate the
-/// assigned query indices against shard `s` (acquiring whatever access it
-/// needs — a plain borrow for [`ShardedRelation`], a read lock for the
-/// live layer) and return one `(query index, result, metered steps)`
-/// triple per assigned query, in ascending query order.
-///
-/// Returns, per query, one `(shard, result, steps)` triple for every
-/// shard the query routed to. The shard id is carried **explicitly** in
-/// each triple: downstream merges (global-id translation in particular)
-/// must never pair results with `routed[qi]` by position, because
-/// nothing in the routing contract promises an ascending — or any
-/// particular — shard order. A worker that panics does **not** abort the
-/// caller: the panic is contained to the batch and reported as
-/// [`EngineError::WorkerPanicked`] (one poisoned query must not take down
-/// a serving process that multiplexes many clients).
-pub(crate) fn fan_out<T: Send>(
-    shard_count: usize,
-    routed: &[Vec<usize>],
-    eval_shard: impl Fn(usize, &[usize]) -> WorkerResults<T> + Sync,
-) -> Result<MergedResults<T>, EngineError> {
-    // Invert the routing into per-shard work lists.
+/// Invert the routing into per-shard work lists, in ascending shard
+/// order. Shards no query routes to get no job.
+fn invert(shard_count: usize, routed: &[Vec<usize>]) -> Vec<(usize, Vec<usize>)> {
     let mut work: Vec<Vec<usize>> = vec![Vec::new(); shard_count];
     for (qi, shards) in routed.iter().enumerate() {
         for &s in shards {
             work[s].push(qi);
         }
     }
-    let eval_shard = &eval_shard;
-    // One worker per shard with work (shards no query routes to cost
-    // nothing, not even a thread spawn); each worker answers its whole
-    // slice with a thread-local meter per query.
-    let per_shard_results: Result<Vec<(usize, WorkerResults<T>)>, EngineError> =
-        std::thread::scope(|scope| {
-            let handles: Vec<(usize, _)> = work
-                .iter()
-                .enumerate()
-                .filter(|(_, assigned)| !assigned.is_empty())
-                .map(|(s, assigned)| (s, scope.spawn(move || (s, eval_shard(s, assigned)))))
-                .collect();
-            // Join *every* handle even after a failure: leaving a panicked
-            // handle unjoined would make the scope itself re-panic on exit,
-            // defeating the containment.
-            let mut results = Vec::with_capacity(handles.len());
-            let mut panicked: Option<usize> = None;
-            for (s, handle) in handles {
-                match handle.join() {
-                    Ok(r) => results.push(r),
-                    Err(_) => {
-                        panicked.get_or_insert(s);
-                    }
-                }
-            }
-            match panicked {
-                Some(shard) => Err(EngineError::WorkerPanicked { shard }),
-                None => Ok(results),
-            }
-        });
-    // Re-assemble per query. Workers were spawned in ascending shard
-    // order and, within a shard, results are in work-list (ascending
-    // query) order — but consumers must rely on the carried shard id,
-    // not this incidental ordering.
-    let mut merged: Vec<Vec<(usize, T, u64)>> = routed
+    work.into_iter()
+        .enumerate()
+        .filter(|(_, assigned)| !assigned.is_empty())
+        .collect()
+}
+
+/// Re-assemble per-shard job results per query. Every triple carries
+/// its shard id: downstream merges (global-id translation in
+/// particular) must never pair results with `routed[qi]` by position,
+/// because nothing in the routing contract promises an ascending — or
+/// any particular — shard order.
+fn merge<T>(routed: &[Vec<usize>], per_shard: Vec<(usize, WorkerResults<T>)>) -> MergedResults<T> {
+    let mut merged: MergedResults<T> = routed
         .iter()
         .map(|shards| Vec::with_capacity(shards.len()))
         .collect();
-    for (s, results) in per_shard_results? {
+    for (s, results) in per_shard {
         for (qi, out, steps) in results {
             debug_assert!(routed[qi].contains(&s));
             merged[qi].push((s, out, steps));
         }
     }
-    Ok(merged)
+    merged
 }
 
-/// Aggregate plans, routing and per-shard meters into the batch report
-/// (shared with the live serving layer and the pooled executor).
-pub(crate) fn report_from<T>(
+/// Aggregate plans, routing and per-shard meters into the batch report.
+fn report_from<T>(
     plans: Vec<QueryPlan>,
     routed: &[Vec<usize>],
     merged: &[Vec<(usize, T, u64)>],
@@ -378,6 +398,9 @@ mod tests {
     use crate::planner::AccessPath;
     use crate::shard::ShardBy;
     use pitract_relation::{ColType, Relation, Schema, Value};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+    use std::thread::ThreadId;
 
     fn relation(n: i64) -> Relation {
         let schema = Schema::new(&[("id", ColType::Int), ("city", ColType::Str)]);
@@ -510,33 +533,153 @@ mod tests {
         assert_eq!(got.report.total_steps, 0);
     }
 
-    /// Regression: a panicking shard worker used to abort the whole
-    /// caller through `.expect("shard worker panicked")` — one poisoned
-    /// query could take down a serving process. The join error is now
-    /// caught and surfaced as a typed `EngineError::WorkerPanicked`.
-    #[test]
-    fn worker_panic_is_contained_and_typed() {
-        // Quiet the panic message the worker thread would print: the
-        // panic here is the fixture, not a failure.
+    /// A serving double for the routine itself: every query routes to
+    /// a fixed shard list (descending where the test says so), shard
+    /// `s` reports local ids `0..=s` and owns global ids
+    /// `(s + 1) * 100 + local`, one shard can be poisoned, and the
+    /// double counts pins and records which thread ran each shard job.
+    #[derive(Debug)]
+    struct Probe {
+        shards: usize,
+        routed: Vec<Vec<usize>>,
+        panic_on_shard: Option<usize>,
+        pins: AtomicUsize,
+        unpins: AtomicUsize,
+        threads: Mutex<Vec<ThreadId>>,
+    }
+
+    impl Probe {
+        fn new(shards: usize, routed: Vec<Vec<usize>>) -> Self {
+            Probe {
+                shards,
+                routed,
+                panic_on_shard: None,
+                pins: AtomicUsize::new(0),
+                unpins: AtomicUsize::new(0),
+                threads: Mutex::new(Vec::new()),
+            }
+        }
+
+        fn batch(&self) -> QueryBatch {
+            QueryBatch::new((0..self.routed.len() as i64).map(|k| SelectionQuery::point(0, k)))
+        }
+
+        fn enter(&self, shard: usize) {
+            self.threads
+                .lock()
+                .unwrap()
+                .push(std::thread::current().id());
+            if self.panic_on_shard == Some(shard) {
+                panic!("probe shard {shard} poisoned");
+            }
+        }
+    }
+
+    impl BatchServe for Probe {
+        fn route(
+            &self,
+            queries: &[SelectionQuery],
+        ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
+            let plans = queries.iter().map(|q| Planner::plan(&[], 1, q)).collect();
+            Ok((plans, self.routed.clone()))
+        }
+
+        fn shard_count(&self) -> usize {
+            self.shards
+        }
+
+        fn pin_epoch(&self) -> Option<Epoch> {
+            self.pins.fetch_add(1, Ordering::SeqCst);
+            Some(Epoch::new(7))
+        }
+
+        fn unpin_epoch(&self, epoch: Epoch) {
+            assert_eq!(epoch, Epoch::new(7));
+            self.unpins.fetch_add(1, Ordering::SeqCst);
+        }
+
+        fn eval_bool(
+            &self,
+            shard: usize,
+            _at: Epoch,
+            _queries: &[SelectionQuery],
+            assigned: &[usize],
+        ) -> WorkerResults<bool> {
+            self.enter(shard);
+            assigned.iter().map(|&qi| (qi, true, 1)).collect()
+        }
+
+        fn eval_rows(
+            &self,
+            shard: usize,
+            _at: Epoch,
+            _queries: &[SelectionQuery],
+            assigned: &[usize],
+        ) -> WorkerResults<Vec<usize>> {
+            self.enter(shard);
+            assigned
+                .iter()
+                .map(|&qi| (qi, (0..=shard).collect(), 1))
+                .collect()
+        }
+
+        fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
+            locals.iter().map(|&l| (shard + 1) * 100 + l).collect()
+        }
+    }
+
+    /// Run `check` against `probe` on the inline runner, then on a
+    /// two-worker pool.
+    fn on_both_runners(probe: &Arc<Probe>, check: impl Fn(&str, Runner<'_, Probe>)) {
+        check("inline", Runner::Inline(probe.as_ref()));
+        let exec = PooledExecutor::new(
+            Arc::clone(probe),
+            crate::pool::PoolConfig {
+                workers: 2,
+                max_inflight: 2,
+            },
+        );
+        check("pooled", Runner::Pooled(&exec));
+    }
+
+    /// Quiet the panic message a poisoned shard job prints: the panic
+    /// is the fixture, not a failure.
+    fn quietly<T>(f: impl FnOnce() -> T) -> T {
         let prev_hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let routed = vec![vec![0], vec![1], vec![0, 2]];
-        let got = fan_out::<bool>(3, &routed, |s, assigned| {
-            if s == 2 {
-                panic!("poisoned query");
-            }
-            assigned.iter().map(|&qi| (qi, true, 1)).collect()
-        });
+        let out = f();
         std::panic::set_hook(prev_hook);
-        assert_eq!(got.unwrap_err(), EngineError::WorkerPanicked { shard: 2 });
+        out
+    }
 
-        // Healthy workers still fan out and merge.
-        let got = fan_out::<bool>(3, &routed, |_, assigned| {
-            assigned.iter().map(|&qi| (qi, true, 1)).collect()
-        })
-        .unwrap();
-        assert_eq!(got.len(), 3);
-        assert_eq!(got[2].len(), 2, "query 2 routed to shards 0 and 2");
+    /// Regression: a panicking shard worker used to abort the whole
+    /// caller through `.expect("shard worker panicked")` — one poisoned
+    /// query could take down a serving process. On both runners the
+    /// panic is caught and surfaced as a typed
+    /// `EngineError::WorkerPanicked`.
+    #[test]
+    fn worker_panic_is_contained_and_typed() {
+        let routed = vec![vec![0], vec![1], vec![2, 0]];
+        let mut poisoned = Probe::new(3, routed.clone());
+        poisoned.panic_on_shard = Some(2);
+        let poisoned = Arc::new(poisoned);
+        quietly(|| {
+            on_both_runners(&poisoned, |runner, exec| {
+                let err = exec.answers(&poisoned.batch(), true).unwrap_err();
+                assert_eq!(err, EngineError::WorkerPanicked { shard: 2 }, "{runner}");
+            })
+        });
+
+        // Healthy shard jobs still run and merge.
+        let healthy = Arc::new(Probe::new(3, routed));
+        on_both_runners(&healthy, |runner, exec| {
+            let got = exec.answers(&healthy.batch(), true).unwrap();
+            assert_eq!(got.answers, vec![true; 3], "{runner}");
+            let q2 = &got.report.per_query[2];
+            assert_eq!(q2.shards_probed, 2, "query 2 routed to shards 2 and 0");
+            assert_eq!(q2.steps, 2, "one metered step per shard ({runner})");
+            assert_eq!(got.report.total_steps, 4, "{runner}");
+        });
     }
 
     /// Regression: `execute_rows` used to pair each per-shard result
@@ -544,32 +687,83 @@ mod tests {
     /// through the wrong shard's id map whenever the routed shard list
     /// is not ascending — an invariant nothing in `relevant_shards_for`
     /// pins. The merge now carries the shard id in the triple itself.
-    /// This drives `fan_out` with a deliberately descending routed list
-    /// and checks the translation against both orderings.
+    /// This drives the routine with a deliberately descending routed
+    /// list and checks the translation against both orderings, on both
+    /// runners.
     #[test]
     fn merge_carries_shard_ids_so_routed_order_cannot_mistranslate() {
         // Shard 0 owns global ids 100.., shard 1 owns 200.. — a
         // positional zip against descending routing would swap them.
-        let global_id = |shard: usize, local: usize| (shard + 1) * 100 + local;
         for routed in [vec![vec![1usize, 0]], vec![vec![0usize, 1]]] {
-            let merged = fan_out::<Vec<usize>>(2, &routed, |s, assigned| {
-                // Every shard reports local ids [0, s + 1).
-                assigned
-                    .iter()
-                    .map(|&qi| (qi, (0..=s).collect(), 1))
-                    .collect()
-            })
-            .unwrap();
-            let mut rows: Vec<usize> = merged[0]
-                .iter()
-                .flat_map(|(s, locals, _)| locals.iter().map(|&l| global_id(*s, l)))
-                .collect();
-            rows.sort_unstable();
-            assert_eq!(
-                rows,
-                vec![100, 200, 201],
-                "translation must follow the carried shard id, routed={routed:?}"
-            );
+            let probe = Arc::new(Probe::new(2, routed.clone()));
+            on_both_runners(&probe, |runner, exec| {
+                let got = exec.rows(&probe.batch()).unwrap();
+                assert_eq!(
+                    got.rows,
+                    vec![vec![100, 200, 201]],
+                    "translation must follow the carried shard id, routed={routed:?} ({runner})"
+                );
+            });
         }
+    }
+
+    /// Inline serving spawns nothing: every shard job of every mode runs
+    /// on the caller's own thread.
+    #[test]
+    fn inline_runner_evaluates_every_shard_on_the_callers_thread() {
+        let probe = Arc::new(Probe::new(4, vec![vec![3, 1], vec![0], vec![2, 1, 0]]));
+        let caller = std::thread::current().id();
+        let batch = probe.batch();
+        Runner::Inline(probe.as_ref())
+            .answers(&batch, true)
+            .unwrap();
+        Runner::Inline(probe.as_ref())
+            .answers(&batch, false)
+            .unwrap();
+        Runner::Inline(probe.as_ref()).rows(&batch).unwrap();
+        let threads = probe.threads.lock().unwrap().clone();
+        assert_eq!(threads.len(), 3 * 4, "one job per touched shard per batch");
+        assert!(threads.iter().all(|&t| t == caller), "{threads:?}");
+
+        // The fixture can tell the difference: pooled jobs run on the
+        // pool's workers.
+        probe.threads.lock().unwrap().clear();
+        on_both_runners(&probe, |runner, exec| {
+            if runner == "pooled" {
+                exec.answers(&batch, true).unwrap();
+            }
+        });
+        let threads = probe.threads.lock().unwrap().clone();
+        assert_eq!(threads.len(), 4);
+        assert!(threads.iter().all(|&t| t != caller), "{threads:?}");
+    }
+
+    /// A shard panic must not leak the batch's epoch pin: writers would
+    /// retain undo records for it forever.
+    #[test]
+    fn pins_stay_balanced_when_a_shard_panics() {
+        let mut probe = Probe::new(3, vec![vec![0, 1, 2], vec![1]]);
+        probe.panic_on_shard = Some(1);
+        let probe = Arc::new(probe);
+        quietly(|| {
+            on_both_runners(&probe, |runner, exec| {
+                let before = probe.pins.load(Ordering::SeqCst);
+                let err = exec.answers(&probe.batch(), true).unwrap_err();
+                assert_eq!(err, EngineError::WorkerPanicked { shard: 1 }, "{runner}");
+                assert_eq!(probe.pins.load(Ordering::SeqCst), before + 1, "{runner}");
+            });
+            on_both_runners(&probe, |runner, exec| {
+                assert!(exec.rows(&probe.batch()).is_err(), "{runner}");
+            });
+        });
+        assert_eq!(probe.pins.load(Ordering::SeqCst), 4, "one pin per batch");
+        assert_eq!(
+            probe.unpins.load(Ordering::SeqCst),
+            probe.pins.load(Ordering::SeqCst),
+            "every pin released on both runners"
+        );
+        // The read-committed baseline takes no pin at all.
+        let _ = quietly(|| Runner::Inline(probe.as_ref()).answers(&probe.batch(), false));
+        assert_eq!(probe.pins.load(Ordering::SeqCst), 4);
     }
 }

@@ -14,12 +14,13 @@
 //!   assigned the cheapest access path (point probe < range probe <
 //!   index-nested-loop conjunction < full scan) with an estimated step
 //!   cost, mirroring exactly the routing the executor performs.
-//! * [`batch::QueryBatch`] — the serving API: a batch of selection
-//!   queries fans out across shards on scoped threads
-//!   (`std::thread::scope`, no extra dependencies), each shard answering
-//!   its slice with a thread-local meter; Boolean or row-id results are
-//!   merged and the per-query meters are aggregated into a
-//!   [`batch::BatchReport`] cost report.
+//! * [`batch::QueryBatch`] — the serving API and its one batch routine:
+//!   route, pin, split the batch into per-shard jobs, run them, merge.
+//!   Each shard answers its slice with its own meter; Boolean or row-id
+//!   results are merged and the per-query meters are aggregated into a
+//!   [`batch::BatchReport`] cost report. Served inline, the caller's
+//!   thread runs the shard jobs; a [`pool::PooledExecutor`] runs them
+//!   in parallel.
 //! * [`live::LiveRelation`] — the concurrent serving tier: per-shard
 //!   read/write locks so batches read-lock only the shards they route to
 //!   while updates write-lock only the one shard a key routes to, with
@@ -40,8 +41,8 @@
 //!   worker pool spawned once, batches submitted as per-shard work items
 //!   over a channel, an admission gate capping in-flight batches
 //!   (queue depth and gate waits surfaced in [`pool::PoolStats`]), one
-//!   pinned epoch per batch, and the same panic containment and
-//!   metering as the scoped executor.
+//!   pinned epoch per batch, and the same routine, panic containment
+//!   and metering as inline serving.
 //! * [`error::EngineError`] — the typed failure surface of the builders
 //!   and executors, so callers (including the `pitract-store` snapshot
 //!   layer) can match on failure classes instead of parsing prose.

@@ -8,13 +8,13 @@
 //!
 //! * **Per-shard read/write locks.** Each shard is an
 //!   [`IndexedRelation`] behind its own rank-checked
-//!   [`OrderedRwLock`](pitract_core::lockdep::OrderedRwLock). Batch fan-out takes a
-//!   *read* lock on only the shards a query routes to, so queries on
-//!   different shards — and any number of queries on the same shard —
-//!   proceed concurrently. An update takes a *write* lock on only the one
-//!   shard its key routes to (the pinned FNV-1a routing of
-//!   [`crate::shard::ShardedRelation::shard_of`], so lock scope never
-//!   moves); the other `S - 1` shards keep serving.
+//!   [`OrderedRwLock`](pitract_core::lockdep::OrderedRwLock). A batch's
+//!   shard jobs take a *read* lock on only the shards a query routes
+//!   to, so queries on different shards — and any number of queries on
+//!   the same shard — proceed concurrently. An update takes a *write*
+//!   lock on only the one shard its key routes to (the pinned FNV-1a
+//!   routing of [`crate::shard::ShardedRelation::shard_of`], so lock
+//!   scope never moves); the other `S - 1` shards keep serving.
 //! * **Global ids behind their own lock.** The global-id and location
 //!   maps live in a separate `OrderedRwLock`, acquired after the shard
 //!   lock (one fixed order — checked at runtime by
@@ -44,7 +44,7 @@
 //! [`Epoch`] clock ticks once per applied update, inside the same
 //! critical section that orders the update log — so epoch `E` names
 //! exactly the state after the first `E` updates, on every shard at
-//! once. A batch *pins* the current epoch before it fans out
+//! once. A batch *pins* the current epoch before its shard jobs run
 //! ([`LiveRelation::pin`]); writers that land mid-batch append an O(1)
 //! epoch-stamped **undo record** (row-granular copy-on-write: the local
 //! id of an insert, the removed row of a delete) to a small per-shard
@@ -62,9 +62,10 @@
 //! per shard and need no cut.
 
 use crate::batch::{
-    eval_assigned, fan_out, report_from, route_batch, BatchAnswers, BatchRows, QueryBatch,
+    eval_assigned, route_batch, BatchAnswers, BatchRows, QueryBatch, Runner, WorkerResults,
 };
 use crate::error::EngineError;
+use crate::pool::BatchServe;
 use crate::shard::{relevant_shards_for, route_shard, ShardBy, ShardedRelation};
 use pitract_core::cost::{log2_floor, Meter};
 use pitract_core::epoch::Epoch;
@@ -515,27 +516,35 @@ impl EpochState {
     }
 }
 
-/// An RAII pin on one epoch of a [`LiveRelation`]: while the pin lives,
-/// every shard read resolved at [`EpochPin::epoch`] sees exactly the
-/// state after that many updates, and writers retain undo records
-/// instead of destroying it. Dropping the pin releases the epoch for
-/// reclamation.
+/// An RAII pin on one epoch of a [`LiveRelation`] (or of any other
+/// versioned [`BatchServe`] target): while the pin lives, every shard
+/// read resolved at [`EpochPin::epoch`] sees exactly the state after
+/// that many updates, and writers retain undo records instead of
+/// destroying it. Dropping the pin releases the epoch for reclamation.
 #[derive(Debug)]
-pub struct EpochPin<'a> {
-    live: &'a LiveRelation,
+pub struct EpochPin<'a, R: BatchServe + ?Sized = LiveRelation> {
+    relation: &'a R,
     epoch: Epoch,
 }
 
-impl EpochPin<'_> {
+impl<'a, R: BatchServe + ?Sized> EpochPin<'a, R> {
+    /// Pin `relation`'s current epoch, or `None` when it keeps no
+    /// version history.
+    pub(crate) fn new(relation: &'a R) -> Option<Self> {
+        relation
+            .pin_epoch()
+            .map(|epoch| EpochPin { relation, epoch })
+    }
+
     /// The pinned epoch.
     pub fn epoch(&self) -> Epoch {
         self.epoch
     }
 }
 
-impl Drop for EpochPin<'_> {
+impl<R: BatchServe + ?Sized> Drop for EpochPin<'_, R> {
     fn drop(&mut self) {
-        self.live.release_pin(self.epoch);
+        self.relation.unpin_epoch(self.epoch);
     }
 }
 
@@ -909,15 +918,15 @@ impl LiveRelation {
     /// undo entries around it instead of blocking or being blocked.
     pub fn pin(&self) -> EpochPin<'_> {
         EpochPin {
-            live: self,
+            relation: self,
             epoch: self.register_pin(),
         }
     }
 
     /// Register a pin on the current epoch (the raw half of
-    /// [`Self::pin`], for callers that cannot hold a borrow — the
-    /// pooled executor's trait surface). Every `register_pin` must be
-    /// paired with exactly one [`Self::release_pin`].
+    /// [`Self::pin`], behind [`BatchServe::pin_epoch`]). Every
+    /// `register_pin` must be paired with exactly one
+    /// [`Self::release_pin`].
     pub(crate) fn register_pin(&self) -> Epoch {
         let mut epochs = self.lock_epochs();
         let epoch = epochs.current;
@@ -1343,29 +1352,16 @@ impl LiveRelation {
     }
 
     /// Answer a whole [`QueryBatch`] against **one pinned epoch**,
-    /// fanning out across shards on scoped threads exactly like
-    /// [`QueryBatch::execute`]. The batch pins the current epoch before
-    /// routing, every per-shard worker resolves its shard at that epoch
-    /// (the current version under a read lock, rolled back through any
-    /// undo records stamped after the pin), and the pin is released when the merge
-    /// completes — so a cross-shard aggregate is exact against one
-    /// database instance even while writers land mid-batch, and the
-    /// pinned epoch is recorded in the report
-    /// ([`crate::batch::BatchReport::epoch`]).
+    /// inline on the caller's thread like [`QueryBatch::execute`]. The
+    /// batch pins the current epoch after routing, every shard job
+    /// resolves its shard at that epoch (the current version under a
+    /// read lock, rolled back through any undo records stamped after the
+    /// pin), and the pin is released when the merge completes — so a
+    /// cross-shard aggregate is exact against one database instance even
+    /// while writers land mid-batch, and the pinned epoch is recorded in
+    /// the report ([`crate::batch::BatchReport::epoch`]).
     pub fn execute(&self, batch: &QueryBatch) -> Result<BatchAnswers, EngineError> {
-        let pin = self.pin();
-        let at = pin.epoch();
-        let (plans, routed) = self.route(batch.queries())?;
-        let merged = fan_out(self.shards.len(), &routed, |s, assigned| {
-            self.eval_bool_shard(s, at, batch.queries(), assigned)
-        })?;
-        let mut answers = vec![false; batch.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            answers[qi] = per_shard.iter().any(|(_, hit, _)| *hit);
-        }
-        let mut report = report_from(plans, &routed, &merged);
-        report.epoch = Some(at);
-        Ok(BatchAnswers { answers, report })
+        Runner::Inline(self).answers(batch, true)
     }
 
     /// The read-committed baseline: answer a batch with **no** epoch pin
@@ -1375,127 +1371,13 @@ impl LiveRelation {
     /// comparison point the `mvcc` bench measures snapshot overhead
     /// against). The report's `epoch` is `None`.
     pub fn execute_read_committed(&self, batch: &QueryBatch) -> Result<BatchAnswers, EngineError> {
-        let (plans, routed) = self.route(batch.queries())?;
-        let merged = fan_out(self.shards.len(), &routed, |s, assigned| {
-            self.eval_bool_shard(s, Epoch::LATEST, batch.queries(), assigned)
-        })?;
-        let mut answers = vec![false; batch.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            answers[qi] = per_shard.iter().any(|(_, hit, _)| *hit);
-        }
-        Ok(BatchAnswers {
-            answers,
-            report: report_from(plans, &routed, &merged),
-        })
+        Runner::Inline(self).answers(batch, false)
     }
 
     /// Enumerate matching global row ids for a whole batch at one pinned
     /// epoch (the row-id mode of [`Self::execute`]).
     pub fn execute_rows(&self, batch: &QueryBatch) -> Result<BatchRows, EngineError> {
-        let pin = self.pin();
-        let at = pin.epoch();
-        let (plans, routed) = self.route(batch.queries())?;
-        let merged = fan_out(self.shards.len(), &routed, |s, assigned| {
-            self.eval_rows_shard(s, at, batch.queries(), assigned)
-        })?;
-        let ids = self.read_ids();
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); batch.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            // Translate through the shard id carried in each triple —
-            // never the position within `routed[qi]` (see `fan_out`).
-            for (shard, locals, _) in per_shard {
-                let map = &ids.global_ids[*shard];
-                rows[qi].extend(locals.iter().map(|&l| map[l]));
-            }
-            rows[qi].sort_unstable();
-        }
-        drop(ids);
-        let mut report = report_from(plans, &routed, &merged);
-        report.epoch = Some(at);
-        Ok(BatchRows { rows, report })
-    }
-
-    /// Validate, plan, and shard-route a query slice (the live twin of
-    /// the batch executor's routing, sharing the same helpers; also the
-    /// routing the pooled executor uses).
-    pub(crate) fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<crate::planner::QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        let (plans, routed) = route_batch(
-            queries,
-            &self.schema,
-            &self.indexed_cols,
-            self.slot_count(),
-            &self.shard_by,
-            self.shards.len(),
-        )?;
-        // One `engine_plans_total{path=…}` tick per routed query (a
-        // single no-op branch each when uninstrumented).
-        for plan in &plans {
-            self.instruments.plan_counter(plan.path.label()).inc();
-        }
-        Ok((plans, routed))
-    }
-
-    /// Translate shard-local row ids to global ids under the ids read
-    /// lock. Safe after the shard lock has been released: the per-shard
-    /// local→global maps are append-only, and every local id handed in
-    /// was mapped before its row became visible.
-    pub(crate) fn globalize(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        let ids = self.read_ids();
-        let map = &ids.global_ids[shard];
-        locals.iter().map(|&l| map[l]).collect()
-    }
-
-    /// Evaluate Boolean answers for one shard's assigned slice of a
-    /// query batch as of epoch `at` (the pooled executor's per-shard
-    /// work item): the current version under the shard's read lock,
-    /// with the undo-ring rollback applied when writes landed past the
-    /// pin. The rollback sets are built once per shard slice, not per
-    /// query.
-    pub(crate) fn eval_bool_shard(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> crate::batch::WorkerResults<bool> {
-        let guard = self.read_shard(shard);
-        match guard.rollback_at(at, &self.schema, &self.indexed_cols) {
-            None => eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                sh.answer_metered(q, m)
-            }),
-            Some(rb) => {
-                self.instruments.rollback_entries.record(rb.entries as u64);
-                eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                    rb.answer(sh, q, m)
-                })
-            }
-        }
-    }
-
-    /// Evaluate matching local row ids for one shard's assigned slice
-    /// as of epoch `at`.
-    pub(crate) fn eval_rows_shard(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> crate::batch::WorkerResults<Vec<usize>> {
-        let guard = self.read_shard(shard);
-        match guard.rollback_at(at, &self.schema, &self.indexed_cols) {
-            None => eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                sh.matching_ids_metered(q, m)
-            }),
-            Some(rb) => {
-                self.instruments.rollback_entries.record(rb.entries as u64);
-                eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
-                    rb.matching_ids(sh, q, m)
-                })
-            }
-        }
+        Runner::Inline(self).rows(batch)
     }
 
     // --- maintenance accounting -------------------------------------------
@@ -1651,6 +1533,101 @@ impl LiveRelation {
             }
         }
         Ok(log.len())
+    }
+}
+
+/// The batch routine's view of a live relation: routing that ticks the
+/// plan counters, shard jobs under per-shard read locks at the batch's
+/// pinned epoch, and id translation under the ids lock.
+impl BatchServe for LiveRelation {
+    fn route(
+        &self,
+        queries: &[SelectionQuery],
+    ) -> Result<(Vec<crate::planner::QueryPlan>, Vec<Vec<usize>>), EngineError> {
+        let (plans, routed) = route_batch(
+            queries,
+            &self.schema,
+            &self.indexed_cols,
+            self.slot_count(),
+            &self.shard_by,
+            self.shards.len(),
+        )?;
+        // One `engine_plans_total{path=…}` tick per routed query (a
+        // single no-op branch each when uninstrumented).
+        for plan in &plans {
+            self.instruments.plan_counter(plan.path.label()).inc();
+        }
+        Ok((plans, routed))
+    }
+
+    fn shard_count(&self) -> usize {
+        self.shards.len()
+    }
+
+    fn pin_epoch(&self) -> Option<Epoch> {
+        Some(self.register_pin())
+    }
+
+    fn unpin_epoch(&self, epoch: Epoch) {
+        self.release_pin(epoch);
+    }
+
+    /// Boolean answers for one shard's assigned slice as of epoch `at`:
+    /// the current version under the shard's read lock, with the
+    /// undo-ring rollback applied when writes landed past the pin. The
+    /// rollback sets are built once per shard slice, not per query.
+    fn eval_bool(
+        &self,
+        shard: usize,
+        at: Epoch,
+        queries: &[SelectionQuery],
+        assigned: &[usize],
+    ) -> WorkerResults<bool> {
+        let guard = self.read_shard(shard);
+        match guard.rollback_at(at, &self.schema, &self.indexed_cols) {
+            None => eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
+                sh.answer_metered(q, m)
+            }),
+            Some(rb) => {
+                self.instruments.rollback_entries.record(rb.entries as u64);
+                eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
+                    rb.answer(sh, q, m)
+                })
+            }
+        }
+    }
+
+    /// Matching local row ids for one shard's assigned slice as of
+    /// epoch `at`.
+    fn eval_rows(
+        &self,
+        shard: usize,
+        at: Epoch,
+        queries: &[SelectionQuery],
+        assigned: &[usize],
+    ) -> WorkerResults<Vec<usize>> {
+        let guard = self.read_shard(shard);
+        match guard.rollback_at(at, &self.schema, &self.indexed_cols) {
+            None => eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
+                sh.matching_ids_metered(q, m)
+            }),
+            Some(rb) => {
+                self.instruments.rollback_entries.record(rb.entries as u64);
+                eval_assigned(queries, &guard.current, assigned, |sh, q, m| {
+                    rb.matching_ids(sh, q, m)
+                })
+            }
+        }
+    }
+
+    /// Translate under the ids read lock. Safe after the shard lock has
+    /// been released: the per-shard local→global maps are append-only,
+    /// and every local id handed in was mapped before its row became
+    /// visible.
+    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
+        let ids = self.read_ids();
+        let map = &ids.global_ids[shard];
+        locals.iter().map(|&l| map[l]).collect()
     }
 }
 
@@ -2278,11 +2255,11 @@ mod tests {
         let q_new = SelectionQuery::range_closed(0, 1000i64, 2000i64);
         let q_old = SelectionQuery::range_closed(0, 0i64, 3i64);
         for s in 0..lr.shard_count() {
-            let hits = lr.eval_bool_shard(s, at, std::slice::from_ref(&q_new), &[0]);
+            let hits = lr.eval_bool(s, at, std::slice::from_ref(&q_new), &[0]);
             assert!(!hits[0].1, "shard {s}: post-pin insert invisible at pin");
-            let olds = lr.eval_rows_shard(s, at, std::slice::from_ref(&q_old), &[0]);
+            let olds = lr.eval_rows(s, at, std::slice::from_ref(&q_old), &[0]);
             // Deleted rows are still present at the pinned epoch.
-            let globals = lr.globalize(s, &olds[0].1);
+            let globals = lr.global_ids(s, &olds[0].1);
             for g in globals {
                 assert!(g <= 3, "only the original rows");
             }
@@ -2387,7 +2364,7 @@ mod tests {
         let q = SelectionQuery::range_closed(0, 0i64, 100_000i64);
         let mut count = 0;
         for s in 0..lr.shard_count() {
-            count += lr.eval_rows_shard(s, e, std::slice::from_ref(&q), &[0])[0]
+            count += lr.eval_rows(s, e, std::slice::from_ref(&q), &[0])[0]
                 .1
                 .len();
         }

@@ -1,11 +1,11 @@
 //! Persistent worker-pool execution: the serving-session executor.
 //!
-//! [`QueryBatch::execute`] fans each batch out on `std::thread::scope`,
-//! which spawns and joins one OS thread per touched shard *per batch*.
-//! That is correct and simple, but a serving tier pays the spawn/join
-//! tax on every request — on small batches the tax exceeds the work,
-//! which is exactly the negative scaling the bench trajectory recorded
-//! (8 shards slower than 1). A [`PooledExecutor`] removes it:
+//! Every batch runs the one routine in [`crate::batch`]: route, pin,
+//! invert, run the shard jobs, merge, report. Inline serving
+//! ([`QueryBatch::execute`], [`crate::live::LiveRelation::execute`])
+//! runs the shard jobs one after another on the caller's thread. A
+//! [`PooledExecutor`] runs them in parallel on a pool that lives for the
+//! serving session:
 //!
 //! * **Workers are spawned once** per serving session, sized by
 //!   [`PoolConfig::workers`] (default: the machine's available
@@ -17,28 +17,23 @@
 //!   gate instead of piling work into the queue, so a burst of writers
 //!   or batch clients degrades latency smoothly instead of collapsing
 //!   throughput.
-//! * **Panic containment matches the scoped path**: a worker that
+//! * **Panic containment matches the inline path**: a worker that
 //!   panics evaluating a shard reports
 //!   [`EngineError::WorkerPanicked`] for that batch — and the worker
 //!   thread itself survives (the panic is caught), so the pool keeps
 //!   serving subsequent batches.
 //!
 //! The executor serves anything that implements [`BatchServe`] —
-//! [`ShardedRelation`] (plain borrows) and
+//! [`crate::shard::ShardedRelation`] (plain borrows) and
 //! [`crate::live::LiveRelation`] (per-shard read locks) in this crate,
-//! and `pitract-wal`'s `DurableLiveRelation` by delegation. Results,
-//! metering, and reports are bit-identical to the scoped executor: the
-//! same routing, the same per-shard [`eval_assigned`] metering protocol,
-//! and a merge that carries shard ids explicitly.
+//! `pitract-repl`'s `Follower`, and `pitract-wal`'s
+//! `DurableLiveRelation` by delegation. Answers,
+//! metering, and reports are bit-identical to inline serving: only who
+//! runs the shard jobs differs.
 
-use crate::batch::{
-    eval_assigned, report_from, route_batch, BatchAnswers, BatchRows, MergedResults, QueryBatch,
-    WorkerResults,
-};
+use crate::batch::{BatchAnswers, BatchReport, BatchRows, QueryBatch, Runner, WorkerResults};
 use crate::error::EngineError;
-use crate::live::LiveRelation;
 use crate::planner::QueryPlan;
-use crate::shard::ShardedRelation;
 use pitract_core::epoch::Epoch;
 use pitract_obs::{Counter, Gauge, Histogram, Recorder};
 use pitract_relation::SelectionQuery;
@@ -218,11 +213,17 @@ impl Admission {
 
 /// RAII admission slot: released when the batch finishes, even on an
 /// error path.
-struct AdmissionSlot<'a>(&'a Admission);
+pub(crate) struct AdmissionSlot<'a> {
+    admission: &'a Admission,
+    /// How long the gate held the batch.
+    pub(crate) waited: Duration,
+    /// When service began; read only when batch latency is recorded.
+    served: Option<Instant>,
+}
 
 impl Drop for AdmissionSlot<'_> {
     fn drop(&mut self) {
-        self.0.release();
+        self.admission.release();
     }
 }
 
@@ -309,13 +310,6 @@ impl WorkerPool {
                 self.admission.wait_nanos.load(Ordering::Relaxed),
             ),
         }
-    }
-
-    /// Block until an admission slot frees, then take one. Returns the
-    /// RAII slot and how long the gate held the caller.
-    fn admit(&self) -> (AdmissionSlot<'_>, Duration) {
-        let waited = self.admission.acquire();
-        (AdmissionSlot(&self.admission), waited)
     }
 
     #[allow(clippy::expect_used)]
@@ -426,13 +420,14 @@ impl<T> Collector<T> {
     }
 }
 
-/// A relation the pooled executor can serve: routing, per-shard
-/// evaluation, and local→global id translation. Implemented by
-/// [`ShardedRelation`] and [`LiveRelation`] here, and by
+/// A relation a batch can be served from, inline or pooled: routing,
+/// per-shard evaluation, and local→global id translation. Implemented by
+/// [`crate::shard::ShardedRelation`] and [`crate::live::LiveRelation`]
+/// here, by `pitract-repl`'s `Follower`, and by
 /// `pitract-wal::DurableLiveRelation` by delegation to its inner live
 /// relation.
 ///
-/// The contract mirrors the scoped executor exactly: `route` validates
+/// The contract is what the batch routine needs: `route` validates
 /// and plans every query; `eval_bool` / `eval_rows` answer one shard's
 /// assigned slice with the shared per-query metering protocol; and
 /// `global_ids` translates after shard evaluation (for a live relation,
@@ -440,8 +435,8 @@ impl<T> Collector<T> {
 /// translation after the shard lock drops is race-free).
 ///
 /// Relations that version their state additionally expose an epoch pin:
-/// the executor calls [`BatchServe::pin_epoch`] once per batch before
-/// any shard job runs, passes the pinned epoch to every `eval_*` call,
+/// the batch routine calls [`BatchServe::pin_epoch`] once per batch
+/// before any shard job runs, passes the pinned epoch to every `eval_*` call,
 /// and releases it with [`BatchServe::unpin_epoch`] when the batch's
 /// results have merged. Immutable relations keep the defaults (no pin,
 /// evaluation ignores `at`).
@@ -487,131 +482,6 @@ pub trait BatchServe: Send + Sync {
 
     /// Translate shard-local row ids to global ids.
     fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize>;
-}
-
-impl BatchServe for ShardedRelation {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        route_batch(
-            queries,
-            self.schema(),
-            &self.shards()[0].indexed_columns(),
-            self.slot_count(),
-            self.shard_by(),
-            self.shard_count(),
-        )
-    }
-
-    fn shard_count(&self) -> usize {
-        ShardedRelation::shard_count(self)
-    }
-
-    fn eval_bool(
-        &self,
-        shard: usize,
-        _at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<bool> {
-        eval_assigned(queries, &self.shards()[shard], assigned, |sh, q, m| {
-            sh.answer_metered(q, m)
-        })
-    }
-
-    fn eval_rows(
-        &self,
-        shard: usize,
-        _at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<Vec<usize>> {
-        eval_assigned(queries, &self.shards()[shard], assigned, |sh, q, m| {
-            sh.matching_ids_metered(q, m)
-        })
-    }
-
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        locals.iter().map(|&l| self.global_id(shard, l)).collect()
-    }
-}
-
-impl BatchServe for LiveRelation {
-    fn route(
-        &self,
-        queries: &[SelectionQuery],
-    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
-        LiveRelation::route(self, queries)
-    }
-
-    fn shard_count(&self) -> usize {
-        LiveRelation::shard_count(self)
-    }
-
-    fn pin_epoch(&self) -> Option<Epoch> {
-        Some(self.register_pin())
-    }
-
-    fn unpin_epoch(&self, epoch: Epoch) {
-        self.release_pin(epoch);
-    }
-
-    fn eval_bool(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<bool> {
-        self.eval_bool_shard(shard, at, queries, assigned)
-    }
-
-    fn eval_rows(
-        &self,
-        shard: usize,
-        at: Epoch,
-        queries: &[SelectionQuery],
-        assigned: &[usize],
-    ) -> WorkerResults<Vec<usize>> {
-        self.eval_rows_shard(shard, at, queries, assigned)
-    }
-
-    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
-        self.globalize(shard, locals)
-    }
-}
-
-/// RAII epoch pin for one batch: taken after admission, released when
-/// the batch's results have merged — on every path, including errors
-/// and worker panics.
-struct PinGuard<'a, R: BatchServe + ?Sized> {
-    relation: &'a R,
-    epoch: Option<Epoch>,
-}
-
-impl<'a, R: BatchServe + ?Sized> PinGuard<'a, R> {
-    fn pin(relation: &'a R) -> Self {
-        PinGuard {
-            relation,
-            epoch: relation.pin_epoch(),
-        }
-    }
-
-    /// The epoch shard jobs evaluate at: the pinned one, or the
-    /// [`Epoch::LATEST`] read-committed sentinel when the relation does
-    /// not version.
-    fn at(&self) -> Epoch {
-        self.epoch.unwrap_or(Epoch::LATEST)
-    }
-}
-
-impl<R: BatchServe + ?Sized> Drop for PinGuard<'_, R> {
-    fn drop(&mut self) {
-        if let Some(epoch) = self.epoch {
-            self.relation.unpin_epoch(epoch);
-        }
-    }
 }
 
 /// The persistent serving session: a relation plus the worker pool that
@@ -703,83 +573,44 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         self.pool.stats()
     }
 
-    /// Answer every query in the batch on the pool — the persistent
-    /// twin of [`QueryBatch::execute`], same answers, same report.
+    /// Answer every query in the batch on the pool — same answers and
+    /// report as [`QueryBatch::execute`], plus the admission wait.
     ///
     /// For a versioned relation the whole batch is answered at one
-    /// pinned epoch, recorded in [`crate::batch::BatchReport::epoch`]:
-    /// every shard job sees the same database instance even while
-    /// writers land mid-batch.
+    /// pinned epoch, recorded in [`BatchReport::epoch`]: every shard job
+    /// sees the same database instance even while writers land
+    /// mid-batch.
     pub fn execute(&self, batch: &QueryBatch) -> Result<BatchAnswers, EngineError> {
-        let queries = batch.queries_shared();
-        let (plans, routed) = self.relation.route(&queries)?;
-        // Admission strictly before the pin: a batch waiting at the
-        // gate must not force writers to retain versions for it.
-        let (_slot, waited) = self.pool.admit();
-        let served = self
-            .instruments
-            .batch_micros
-            .is_enabled()
-            .then(Instant::now);
-        let pin = PinGuard::pin(self.relation.as_ref());
-        let at = pin.at();
-        let merged = self.run(
-            &queries,
-            &routed,
-            move |relation, shard, queries, assigned| {
-                relation.eval_bool(shard, at, queries, assigned)
-            },
-        )?;
-        let mut answers = vec![false; queries.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            answers[qi] = per_shard.iter().any(|(_, hit, _)| *hit);
-        }
-        let mut report = report_from(plans, &routed, &merged);
-        report.epoch = pin.epoch;
-        report.admission_wait = Some(waited);
-        self.account(served, &report);
-        Ok(BatchAnswers { answers, report })
+        Runner::Pooled(self).answers(batch, true)
     }
 
     /// Enumerate matching global row ids for every query on the pool —
-    /// the persistent twin of [`QueryBatch::execute_rows`], answered at
+    /// same rows and report as [`QueryBatch::execute_rows`], answered at
     /// one pinned epoch like [`Self::execute`].
     pub fn execute_rows(&self, batch: &QueryBatch) -> Result<BatchRows, EngineError> {
-        let queries = batch.queries_shared();
-        let (plans, routed) = self.relation.route(&queries)?;
-        let (_slot, waited) = self.pool.admit();
-        let served = self
-            .instruments
-            .batch_micros
-            .is_enabled()
-            .then(Instant::now);
-        let pin = PinGuard::pin(self.relation.as_ref());
-        let at = pin.at();
-        let merged = self.run(
-            &queries,
-            &routed,
-            move |relation, shard, queries, assigned| {
-                relation.eval_rows(shard, at, queries, assigned)
-            },
-        )?;
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); queries.len()];
-        for (qi, per_shard) in merged.iter().enumerate() {
-            for (shard, locals, _) in per_shard {
-                rows[qi].extend(self.relation.global_ids(*shard, locals));
-            }
-            rows[qi].sort_unstable();
+        Runner::Pooled(self).rows(batch)
+    }
+
+    /// Block until an admission slot frees, then take one. The slot
+    /// records how long the gate held the batch.
+    pub(crate) fn admit(&self) -> AdmissionSlot<'_> {
+        let admission = &self.pool.admission;
+        let waited = admission.acquire();
+        AdmissionSlot {
+            admission,
+            waited,
+            served: self
+                .instruments
+                .batch_micros
+                .is_enabled()
+                .then(Instant::now),
         }
-        let mut report = report_from(plans, &routed, &merged);
-        report.epoch = pin.epoch;
-        report.admission_wait = Some(waited);
-        self.account(served, &report);
-        Ok(BatchRows { rows, report })
     }
 
     /// Record one served batch's latency and report totals (single
     /// no-op branch per handle when uninstrumented).
-    fn account(&self, served: Option<Instant>, report: &crate::batch::BatchReport) {
-        if let Some(started) = served {
+    pub(crate) fn account(&self, slot: &AdmissionSlot<'_>, report: &BatchReport) {
+        if let Some(started) = slot.served {
             self.instruments
                 .batch_micros
                 .record_duration(started.elapsed());
@@ -789,49 +620,36 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
         self.instruments.steps.add(report.total_steps);
     }
 
-    /// Submit one batch's per-shard work items and wait for the merge:
-    /// routing inversion, one job per touched shard, rendezvous at the
+    /// Submit one job per work-list entry and wait for them all at the
     /// collector. The caller holds the admission slot and the epoch pin
-    /// for the batch. Returns the same per-query `(shard, result,
-    /// steps)` shape as the scoped `fan_out`, so both executors share
-    /// the merge and report code.
-    fn run<T, F>(
+    /// for the batch; results come back in work-list (ascending shard)
+    /// order.
+    pub(crate) fn run<T, E>(
         &self,
-        queries: &Arc<[SelectionQuery]>,
-        routed: &[Vec<usize>],
-        eval: F,
-    ) -> Result<MergedResults<T>, EngineError>
+        batch: &QueryBatch,
+        work: Vec<(usize, Vec<usize>)>,
+        at: Epoch,
+        eval: E,
+    ) -> Result<Vec<(usize, WorkerResults<T>)>, EngineError>
     where
         T: Send + 'static,
-        F: Fn(&R, usize, &[SelectionQuery], &[usize]) -> WorkerResults<T> + Send + Sync + 'static,
+        E: Fn(&R, usize, Epoch, &[SelectionQuery], &[usize]) -> WorkerResults<T>
+            + Copy
+            + Send
+            + 'static,
     {
-        // Invert the routing into per-shard work lists (shards no query
-        // routes to get no job).
-        let mut work: Vec<Vec<usize>> = vec![Vec::new(); self.relation.shard_count()];
-        for (qi, shards) in routed.iter().enumerate() {
-            for &s in shards {
-                work[s].push(qi);
-            }
-        }
-        let work: Vec<(usize, Vec<usize>)> = work
-            .into_iter()
-            .enumerate()
-            .filter(|(_, assigned)| !assigned.is_empty())
-            .collect();
-
+        let queries = batch.queries_shared();
         let collector = Arc::new(Collector::new(work.len()));
-        let eval = Arc::new(eval);
         for (slot, (shard, assigned)) in work.into_iter().enumerate() {
             let relation = Arc::clone(&self.relation);
-            let queries = Arc::clone(queries);
+            let queries = Arc::clone(&queries);
             let collector = Arc::clone(&collector);
-            let eval = Arc::clone(&eval);
             let panics = self.instruments.panics.clone();
             self.pool.submit(Box::new(move || {
                 // Contain a panicking evaluation to this batch: report
                 // the shard and keep the worker thread alive.
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    eval(&relation, shard, &queries, &assigned)
+                    eval(&relation, shard, at, &queries, &assigned)
                 }))
                 .ok();
                 if outcome.is_none() {
@@ -840,22 +658,7 @@ impl<R: BatchServe + 'static> PooledExecutor<R> {
                 collector.finish(slot, shard, outcome);
             }));
         }
-        let per_shard = collector.wait()?;
-
-        // Merge exactly like the scoped fan-out: slots are in ascending
-        // shard order, results within a shard in ascending query order,
-        // and every triple carries its shard id.
-        let mut merged: Vec<Vec<(usize, T, u64)>> = routed
-            .iter()
-            .map(|shards| Vec::with_capacity(shards.len()))
-            .collect();
-        for (s, results) in per_shard {
-            for (qi, out, steps) in results {
-                debug_assert!(routed[qi].contains(&s));
-                merged[qi].push((s, out, steps));
-            }
-        }
-        Ok(merged)
+        collector.wait()
     }
 }
 
@@ -866,7 +669,8 @@ fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::ShardBy;
+    use crate::live::LiveRelation;
+    use crate::shard::{ShardBy, ShardedRelation};
     use pitract_relation::{ColType, Relation, Schema, Value};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -890,7 +694,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_answers_match_scoped_at_every_shard_count() {
+    fn pooled_answers_match_inline_at_every_shard_count() {
         let n = 500i64;
         let rel = relation(n);
         let batch = mixed_batch(n);
@@ -898,17 +702,17 @@ mod tests {
             let sr = Arc::new(
                 ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, shards, &[0, 1]).unwrap(),
             );
-            let scoped = batch.execute(&sr).unwrap();
+            let inline = batch.execute(&sr).unwrap();
             let exec = PooledExecutor::with_default_pool(Arc::clone(&sr));
             let pooled = exec.execute(&batch).unwrap();
-            assert_eq!(pooled.answers, scoped.answers, "shards={shards}");
+            assert_eq!(pooled.answers, inline.answers, "shards={shards}");
             assert_eq!(
-                pooled.report.total_steps, scoped.report.total_steps,
-                "metering must not drift between executors (shards={shards})"
+                pooled.report.total_steps, inline.report.total_steps,
+                "metering must not drift between runners (shards={shards})"
             );
-            let scoped_rows = batch.execute_rows(&sr).unwrap();
+            let inline_rows = batch.execute_rows(&sr).unwrap();
             let pooled_rows = exec.execute_rows(&batch).unwrap();
-            assert_eq!(pooled_rows.rows, scoped_rows.rows, "shards={shards}");
+            assert_eq!(pooled_rows.rows, inline_rows.rows, "shards={shards}");
         }
     }
 

@@ -7,8 +7,12 @@
 //! NC claim is about: shards can be probed concurrently, and shard-key
 //! routing often proves most shards irrelevant without touching them.
 
+use crate::batch::{eval_assigned, route_batch, WorkerResults};
 use crate::error::EngineError;
+use crate::planner::QueryPlan;
+use crate::pool::BatchServe;
 use pitract_core::cost::Meter;
+use pitract_core::epoch::Epoch;
 use pitract_core::hash::Fnv64;
 use pitract_relation::indexed::IndexedRelation;
 use pitract_relation::{IndexedError, Relation, Schema, SelectionQuery, Value};
@@ -391,6 +395,56 @@ impl ShardedRelation {
             self.global_ids,
             self.locations,
         )
+    }
+}
+
+/// An immutable relation serves batches with plain borrows: no pin
+/// (evaluation ignores `at`), no locks.
+impl BatchServe for ShardedRelation {
+    fn route(
+        &self,
+        queries: &[SelectionQuery],
+    ) -> Result<(Vec<QueryPlan>, Vec<Vec<usize>>), EngineError> {
+        route_batch(
+            queries,
+            self.schema(),
+            &self.shards()[0].indexed_columns(),
+            self.slot_count(),
+            self.shard_by(),
+            self.shard_count(),
+        )
+    }
+
+    fn shard_count(&self) -> usize {
+        ShardedRelation::shard_count(self)
+    }
+
+    fn eval_bool(
+        &self,
+        shard: usize,
+        _at: Epoch,
+        queries: &[SelectionQuery],
+        assigned: &[usize],
+    ) -> WorkerResults<bool> {
+        eval_assigned(queries, &self.shards()[shard], assigned, |sh, q, m| {
+            sh.answer_metered(q, m)
+        })
+    }
+
+    fn eval_rows(
+        &self,
+        shard: usize,
+        _at: Epoch,
+        queries: &[SelectionQuery],
+        assigned: &[usize],
+    ) -> WorkerResults<Vec<usize>> {
+        eval_assigned(queries, &self.shards()[shard], assigned, |sh, q, m| {
+            sh.matching_ids_metered(q, m)
+        })
+    }
+
+    fn global_ids(&self, shard: usize, locals: &[usize]) -> Vec<usize> {
+        locals.iter().map(|&l| self.global_id(shard, l)).collect()
     }
 }
 

@@ -468,8 +468,10 @@ impl Follower {
     }
 
     /// Execute a batch at one consistent pinned cut (the epoch of the
-    /// last LSN replayed) — the single-threaded twin of serving this
-    /// follower from a [`pitract_engine::PooledExecutor`].
+    /// last LSN replayed), inline: every shard job runs on the caller's
+    /// thread, one after another. Answers and report match serving this
+    /// follower from a [`pitract_engine::PooledExecutor`], which runs
+    /// the same jobs in parallel.
     pub fn execute(&self, batch: &QueryBatch) -> Result<BatchAnswers, EngineError> {
         self.live.execute(batch)
     }

@@ -1,8 +1,8 @@
 //! Pooled serving: a worker pool spawned once, batches streamed through.
 //!
-//! The scoped executor (`examples/sharded_serving.rs`) spawns and joins
-//! one thread per shard for *every* batch — the spawn/join tax rides on
-//! the serving path. This example runs serving as a **session** instead:
+//! Inline serving (`examples/sharded_serving.rs`) runs a batch's shard
+//! jobs one after another on the caller's thread. This example runs
+//! serving as a **session** that answers them in parallel instead:
 //!
 //! 1. **Go durable**: a 50k-row relation sharded 8 ways behind a
 //!    `DurableLiveRelation` (checkpoint + write-ahead log).

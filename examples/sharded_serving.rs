@@ -1,11 +1,14 @@
-//! Sharded batch serving: the paper's NC claim with real threads.
+//! Sharded batch serving: the paper's NC claim, shard by shard.
 //!
 //! Definition 1 calls a query class tractable when a one-time PTIME
 //! preprocessing step `Π(D)` makes every query answerable in parallel
 //! polylog time. This example exercises the *parallel* half: a 100k-row
 //! relation is hash-partitioned into shards (each one an independently
 //! indexed `Π(D)`), and a batch of 1,000 mixed point / range /
-//! conjunction queries fans out across the shards on scoped threads.
+//! conjunction queries is split into one job per relevant shard. Here
+//! the caller's thread runs the jobs one after another;
+//! `examples/pool_serving.rs` runs the same jobs in parallel on a
+//! worker pool.
 //!
 //! Along the way the planner routes every query to its cheapest access
 //! path and the per-query step meters are aggregated into a batch cost

@@ -16,7 +16,7 @@
 //! | [`index`] | B⁺-trees, sorted/hash indexes, RMQ and LCA structures |
 //! | [`graph`] | breadth-depth search, reachability indexes, SCC, query-preserving compression, generators |
 //! | [`relation`] | typed relations, selection query classes, indexed evaluation, materialized views |
-//! | [`engine`] | sharded batch serving: hash/range partitioning, cost-based planning, scoped-thread and pooled batch execution, live serving under concurrent updates |
+//! | [`engine`] | sharded batch serving: hash/range partitioning, cost-based planning, inline and pooled batch execution, live serving under concurrent updates |
 //! | [`store`] | persistent snapshots: versioned, checksummed serialization of preprocessed structures + a named catalog for warm starts and live checkpoints |
 //! | [`wal`] | durable write-ahead log: fsync'd checksummed segments, group commit, torn-tail recovery, compaction, crash-consistent durable serving |
 //! | [`repl`] | WAL-shipping replication: primary-side segment publisher with retention watermarks, checkpoint-bootstrapped followers serving epoch-pinned consistent replica reads |
@@ -54,9 +54,11 @@
 //! range-partitions the data across shards (each one an independently
 //! indexed `Π(D)`), a [`Planner`](crate::engine::planner::Planner) routes
 //! every query to its cheapest access path, and a
-//! [`QueryBatch`](crate::engine::batch::QueryBatch) fans a batch of
-//! queries out across shards on scoped threads, merging answers and
-//! per-query step meters into a batch cost report.
+//! [`QueryBatch`](crate::engine::batch::QueryBatch) splits a batch of
+//! queries into per-shard jobs, merging answers and per-query step
+//! meters into a batch cost report. `QueryBatch::execute` runs the jobs
+//! inline on the caller's thread; a pooled executor (below) runs the
+//! same jobs in parallel.
 //!
 //! ```
 //! use pi_tractable::prelude::*;
@@ -68,7 +70,7 @@
 //! // Π(D) at scale: 4 hash shards, each with a B+-tree on column 0.
 //! let sharded = ShardedRelation::build(&relation, ShardBy::Hash { col: 0 }, 4, &[0]).unwrap();
 //!
-//! // A batch of queries answered in one parallel fan-out.
+//! // A batch of queries answered in one pass over the routed shards.
 //! let batch = QueryBatch::new((0..100i64).map(|k| SelectionQuery::point(0, k * 101)));
 //! let result = batch.execute(&sharded).unwrap();
 //! assert!(result.answers.iter().filter(|&&a| a).count() == 100);
@@ -105,7 +107,7 @@
 //!
 //! A production tier answers queries *while* updates land. A
 //! [`LiveRelation`](crate::engine::live::LiveRelation) puts each shard
-//! behind its own read/write lock: batch fan-out takes read locks on only
+//! behind its own read/write lock: a batch takes read locks on only
 //! the shards a query routes to, and an insert/delete write-locks only
 //! the one shard its key routes to, so writers never stall the rest of
 //! the fleet. Every update is `|CHANGED|`-accounted (Section 4(7)) and
@@ -142,7 +144,7 @@
 //! ## Consistent reads: one epoch-stamped cut per batch
 //!
 //! Per-shard locking alone leaves a batch *read-committed*: each shard
-//! answers at whatever state it holds when the fan-out reaches it, so a
+//! answers at whatever state it holds when the batch reaches it, so a
 //! racing writer can make one batch observe half an update. Every write
 //! therefore ticks a global [`Epoch`](crate::core::epoch::Epoch) clock,
 //! and a batch pins the clock once ([`LiveRelation::pin`](crate::engine::live::LiveRelation::pin) /
@@ -186,9 +188,10 @@
 //!
 //! ## The executor: a serving session, not a query
 //!
-//! `QueryBatch::execute` spawns scoped threads per batch — fine for a
-//! one-off, but a serving tier answers batches continuously. A
-//! [`PooledExecutor`](crate::engine::pool::PooledExecutor) spawns a
+//! `QueryBatch::execute` and `LiveRelation::execute` run a batch's shard
+//! jobs inline, one after another on the caller's thread. A serving
+//! tier that wants them in parallel uses a
+//! [`PooledExecutor`](crate::engine::pool::PooledExecutor): it spawns a
 //! sized worker pool once per session, submits each batch as per-shard
 //! work items over a channel, and caps concurrently admitted batches
 //! with an admission gate; a worker panic is returned as a typed error

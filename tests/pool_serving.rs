@@ -1,6 +1,6 @@
 //! Integration tests for the pooled serving session through the public
-//! facade: the `PooledExecutor` must answer exactly like the scoped
-//! executor (which answers exactly like the scan oracle), contain
+//! facade: the `PooledExecutor` must answer exactly like inline
+//! serving (which answers exactly like the scan oracle), contain
 //! worker panics as typed errors without poisoning the pool, and serve
 //! custom `BatchServe` targets — while `apply_batch` keeps the durable
 //! write side batch-committed and crash-consistent.
@@ -28,42 +28,98 @@ fn mixed_batch(n: i64) -> QueryBatch {
     }))
 }
 
+/// Inline and pooled serving must agree bit for bit: answers, row ids,
+/// and the cost report — plans, steps, shards probed, pinned epoch.
+/// Only the admission wait differs: inline serving has no gate.
+fn assert_runners_agree<R: BatchServe>(
+    tag: &str,
+    batch: &QueryBatch,
+    inline: impl Fn(&QueryBatch) -> (BatchAnswers, BatchRows),
+    exec: &PooledExecutor<R>,
+) {
+    let (answers, rows) = inline(batch);
+    let pooled = exec.execute(batch).expect("pooled batch");
+    let pooled_rows = exec.execute_rows(batch).expect("pooled rows");
+    assert_eq!(pooled.answers, answers.answers, "{tag}: answers");
+    assert_eq!(pooled_rows.rows, rows.rows, "{tag}: row ids");
+    for (got, want) in [
+        (&pooled.report, &answers.report),
+        (&pooled_rows.report, &rows.report),
+    ] {
+        assert_eq!(
+            got.total_steps, want.total_steps,
+            "{tag}: metering must not depend on the runner"
+        );
+        let costs = |r: &BatchReport| {
+            r.per_query
+                .iter()
+                .map(|c| (c.plan, c.steps, c.shards_probed))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(costs(got), costs(want), "{tag}: per-query costs");
+        assert_eq!(got.shards_probed(), want.shards_probed(), "{tag}");
+        assert_eq!(got.epoch, want.epoch, "{tag}: pinned epoch");
+        assert_eq!(want.admission_wait, None, "{tag}: inline has no gate");
+        assert!(
+            got.admission_wait.is_some(),
+            "{tag}: pooled passed the gate"
+        );
+    }
+}
+
 #[test]
-fn pooled_answers_match_scoped_and_oracle_on_every_target() {
+fn pooled_answers_match_inline_and_oracle_on_every_target() {
     let n = 4_000i64;
     let rel = relation(n);
     let batch = mixed_batch(n);
     let oracle: Vec<bool> = batch.queries().iter().map(|q| rel.eval_scan(q)).collect();
+    let pool = || PoolConfig {
+        workers: 2,
+        max_inflight: 3,
+    };
 
     // ShardedRelation target.
     let sharded = Arc::new(
         ShardedRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec"),
     );
-    let scoped = batch.execute(&sharded).expect("scoped batch");
-    assert_eq!(scoped.answers, oracle);
+    let inline = batch.execute(&sharded).expect("inline batch");
+    assert_eq!(inline.answers, oracle);
     let exec = PooledExecutor::with_default_pool(Arc::clone(&sharded));
-    let pooled = exec.execute(&batch).expect("pooled batch");
     assert_eq!(
-        pooled.answers, oracle,
+        exec.execute(&batch).expect("pooled batch").answers,
+        oracle,
         "pooled != oracle on ShardedRelation"
     );
-    assert_eq!(
-        pooled.report.total_steps, scoped.report.total_steps,
-        "metering must not depend on the executor"
+    assert_runners_agree(
+        "sharded",
+        &batch,
+        |b| {
+            (
+                b.execute(&sharded).expect("inline"),
+                b.execute_rows(&sharded).expect("inline rows"),
+            )
+        },
+        &exec,
     );
 
-    // LiveRelation target, same contract.
+    // LiveRelation target, pinned, same contract.
     let live = Arc::new(
         LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec"),
     );
-    let exec = PooledExecutor::new(
-        Arc::clone(&live),
-        PoolConfig {
-            workers: 2,
-            max_inflight: 3,
+    live.insert(vec![Value::Int(n + 3), Value::str("late")])
+        .expect("insert");
+    let exec = PooledExecutor::new(Arc::clone(&live), pool());
+    assert_runners_agree(
+        "live",
+        &batch,
+        |b| {
+            (
+                live.execute(b).expect("inline live"),
+                live.execute_rows(b).expect("inline live rows"),
+            )
         },
+        &exec,
     );
-    assert_eq!(exec.execute(&batch).expect("pooled live").answers, oracle);
 
     // Row ids come back globally translated, independent of shard order.
     let point_batch = QueryBatch::new((0..40i64).map(|k| SelectionQuery::point(0, k * 11)));
@@ -71,6 +127,48 @@ fn pooled_answers_match_scoped_and_oracle_on_every_target() {
     for (k, ids) in rows.rows.iter().enumerate() {
         assert_eq!(ids, &vec![k * 11], "key {}", k * 11);
     }
+
+    // A replica caught up to a primary that kept writing after its
+    // checkpoint.
+    let root = TempDir::new("pool-serving-follower");
+    let catalog = SnapshotCatalog::open(root.join("snaps")).expect("catalog");
+    let primary = Arc::new(
+        DurableLiveRelation::create(
+            LiveRelation::build(&rel, ShardBy::Hash { col: 0 }, 4, &[0, 1]).expect("valid spec"),
+            &catalog,
+            "node",
+            root.join("wal"),
+            WalConfig::default(),
+        )
+        .expect("create primary"),
+    );
+    let follower = Arc::new(
+        Follower::bootstrap(&catalog, "node", root.join("mirror"), WalConfig::default())
+            .expect("bootstrap"),
+    );
+    let publisher = SegmentPublisher::new(Arc::clone(&primary));
+    let sub = follower.attach(&publisher);
+    for k in 0..20i64 {
+        primary
+            .insert(vec![Value::Int(n + k * 5), Value::str("late")])
+            .expect("insert");
+    }
+    primary.delete(7).expect("delete").expect("live gid");
+    primary.wal().sync().expect("sync");
+    follower.catch_up(&publisher, sub).expect("catch up");
+    assert_eq!(follower.len(), primary.len());
+    let exec = PooledExecutor::new(Arc::clone(&follower), pool());
+    assert_runners_agree(
+        "follower",
+        &batch,
+        |b| {
+            (
+                follower.execute(b).expect("inline follower"),
+                follower.execute_rows(b).expect("inline follower rows"),
+            )
+        },
+        &exec,
+    );
 }
 
 /// A `BatchServe` target that panics on one shard: the session must
